@@ -14,11 +14,16 @@
 #   6. bench smoke   interference-engine, dynamics and event-core ablations
 #                    in --smoke mode; the JSON they emit is schema-checked
 #                    when python3 is present
-#   7. clang-tidy    over src/ and tools/ (needs stage 4's compile commands)
-#   8. build + test  once per sanitizer config (default: tsan, then
+#   7. golden output bench_tab_sec8_network_sim byte-identical to its
+#                    committed output (the soak-only ctest of that name)
+#   8. perfbench     the benchmark's self-tests (perfbench/run.py
+#                    --selftest): pinned fingerprints, composition ==
+#                    runner::run_trial, auditor reports no violation
+#   9. clang-tidy    over src/ and tools/ (needs stage 4's compile commands)
+#  10. build + test  once per sanitizer config (default: tsan, then
 #                    asan+ubsan)
 #
-# Stages 1, 4 and 7 fail the build on any finding. The others also fail on
+# Stages 1, 4, 7 and 9 fail the build on any finding. The others also fail on
 # findings, but are skipped with a notice when the host lacks the tool
 # (libclang / clang-format / clang-tidy — the baked toolchain is gcc-only);
 # the configs are checked in so any host that has the tools enforces them.
@@ -151,6 +156,17 @@ print(f"event-core bench smoke OK: {len(cells)} cells, M in {sorted(stations)}")
 PY
 else
   echo "event-core bench schema check SKIPPED: no python3 on this host"
+fi
+
+echo "==== stage: golden output ===="
+ctest --test-dir build-ci -C soak -R '^bench_tab_sec8_golden$' \
+  --output-on-failure
+
+echo "==== stage: perfbench self-tests ===="
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --selftest
+else
+  echo "perfbench self-tests SKIPPED: no python3 on this host"
 fi
 
 echo "==== stage: clang-tidy ===="
