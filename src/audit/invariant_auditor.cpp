@@ -44,9 +44,7 @@ InvariantAuditor::InvariantAuditor(AuditConfig config)
   DRN_EXPECTS(config_.thermal_noise.value() > 0.0);
 }
 
-namespace {
-
-AuditConfig config_from(const sim::Simulator& sim) {
+AuditConfig config_for(const sim::Simulator& sim) {
   AuditConfig cfg;
   cfg.stations = sim.station_count();
   cfg.despreading_channels = sim.config().despreading_channels;
@@ -56,10 +54,8 @@ AuditConfig config_from(const sim::Simulator& sim) {
   return cfg;
 }
 
-}  // namespace
-
 InvariantAuditor::InvariantAuditor(const sim::Simulator& sim)
-    : InvariantAuditor(config_from(sim)) {}
+    : InvariantAuditor(config_for(sim)) {}
 
 void InvariantAuditor::mix(std::uint64_t word) {
   // FNV-1a over the word's 8 bytes, little-endian order.

@@ -64,6 +64,9 @@ struct AuditConfig {
   bool record_receptions = false;
 };
 
+/// The AuditConfig a simulator's public configuration implies.
+[[nodiscard]] AuditConfig config_for(const sim::Simulator& sim);
+
 /// One observed breach of an invariant.
 struct Violation {
   /// Stable key, e.g. "half-duplex", "despreading-cap", "metrics-crosscheck".
@@ -75,7 +78,7 @@ struct Violation {
 class InvariantAuditor final : public sim::SimObserver {
  public:
   explicit InvariantAuditor(AuditConfig config);
-  /// Derives the AuditConfig from a simulator's public configuration.
+  /// InvariantAuditor(config_for(sim)).
   explicit InvariantAuditor(const sim::Simulator& sim);
 
   void on_transmit_start(const sim::TxEvent& tx) override;

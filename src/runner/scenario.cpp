@@ -1,6 +1,7 @@
 #include "runner/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -52,12 +53,69 @@ core::ScheduledNetworkConfig multihop_config() {
   return cfg;
 }
 
+namespace {
+
+std::shared_ptr<const radio::PropagationModel> propagation_model(
+    const ScenarioSpec& spec, std::uint64_t seed) {
+  std::shared_ptr<const radio::PropagationModel> model;
+  if (spec.dual_slope) {
+    model = std::make_shared<radio::DualSlopePropagation>(
+        radio::Meters{spec.breakpoint_m});
+  } else {
+    model = std::make_shared<radio::FreeSpacePropagation>();
+  }
+  if (spec.shadowing_db > 0.0) {
+    model = std::make_shared<radio::LogNormalShadowing>(
+        model, radio::Decibels{spec.shadowing_db}, seed ^ 0x5AD0ull);
+  }
+  return model;
+}
+
+/// The trial's simulator over `placement` (the scenario's stations plus any
+/// jammers appended after them).
+std::unique_ptr<sim::Simulator> make_simulator(
+    const ScenarioSpec& spec, std::uint64_t seed, const Scenario& scenario,
+    const geo::Placement& placement,
+    std::shared_ptr<const radio::PropagationModel> model) {
+  sim::SimulatorConfig sim_cfg{spec.criterion()};
+  sim_cfg.seed = seed;
+  sim_cfg.engine = spec.engine;
+  if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
+    // Default cutoff: twice the free-space reach of the power budget, so
+    // only interferers well beyond any usable link are aggregated.
+    radio::NearFarConfig nf;
+    nf.cutoff = radio::Meters{
+        spec.engine_cutoff_m > 0.0
+            ? spec.engine_cutoff_m
+            : 2.0 / std::sqrt(spec.net.target_received_w /
+                              spec.net.max_power_w)};
+    nf.cell = radio::Meters{spec.engine_cell_m};
+    return std::make_unique<sim::Simulator>(
+        radio::make_nearfar_engine(placement, std::move(model), nf), sim_cfg);
+  }
+  if (placement.size() > scenario.gains.size())
+    return std::make_unique<sim::Simulator>(
+        radio::make_dense_gains(placement, *model), sim_cfg);
+  return std::make_unique<sim::Simulator>(scenario.gains, sim_cfg);
+}
+
+/// Poisson uniform-pair traffic over the scenario's stations.
+void inject_poisson(sim::Simulator& sim, const Scenario& scenario,
+                    double packets_per_s, double duration_s, Rng rng) {
+  for (const auto& inj : sim::poisson_traffic(
+           packets_per_s, duration_s, scenario.net.packet_bits,
+           sim::uniform_pairs(scenario.gains.size()), rng))
+    sim.inject(inj.time_s, inj.packet);
+}
+
+}  // namespace
+
 Scenario make_scenario(std::size_t stations, double region_m,
                        std::uint64_t seed,
-                       core::ScheduledNetworkConfig net_cfg) {
+                       core::ScheduledNetworkConfig net_cfg,
+                       const radio::PropagationModel& model) {
   Rng rng(seed);
   auto placement = geo::uniform_disc(stations, region_m, rng);
-  const radio::FreeSpacePropagation model;
   auto gains = radio::make_dense_gains(placement, model);
   Rng build_rng = rng.split(1);
   auto net =
@@ -141,45 +199,27 @@ void install_macs(sim::Simulator& sim, Scenario& scenario,
     sim.set_mac(s, make_baseline_mac(spec));
 }
 
-TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
-  auto scenario =
-      make_scenario(spec.stations, spec.region_m, seed, spec.net);
+Trial::Trial(const ScenarioSpec& spec, std::uint64_t seed)
+    : spec_(spec),
+      model_(propagation_model(spec, seed)),
+      scenario_(make_scenario(spec.stations, spec.region_m, seed, spec.net,
+                              *model_)) {
   const dynamics::DynamicsConfig& dyn = spec.dynamics;
   // Jammer stations are appended after the real network: they get gains and
   // despreading channels like everyone else, but no traffic, no routes, and
   // the dynamics engine leaves them alone.
-  geo::Placement placement = scenario.placement;
+  geo::Placement placement = scenario_.placement;
   if (dyn.jammer.count > 0) {
     Rng jammer_rng = Rng(seed).split(4);
     placement = dynamics::with_jammers(placement, dyn.jammer.count,
                                        spec.region_m, jammer_rng);
   }
-  sim::SimulatorConfig sim_cfg{spec.criterion()};
-  sim_cfg.seed = seed;
-  sim_cfg.engine = spec.engine;
-  std::optional<sim::Simulator> sim_box;
-  const auto model = std::make_shared<radio::FreeSpacePropagation>();
-  if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
-    // Lazy near/far evaluation over the same free-space physics the dense
-    // scenario matrix was built from.
-    radio::NearFarConfig nf;
-    nf.cutoff = radio::Meters{
-        spec.engine_cutoff_m > 0.0 ? spec.engine_cutoff_m : 2.0 * spec.region_m};
-    nf.cell = radio::Meters{spec.engine_cell_m};
-    sim_box.emplace(radio::make_nearfar_engine(placement, model, nf), sim_cfg);
-  } else if (dyn.jammer.count > 0) {
-    sim_box.emplace(radio::make_dense_gains(placement, *model), sim_cfg);
-  } else {
-    sim_box.emplace(scenario.gains, sim_cfg);
-  }
-  sim::Simulator& sim = *sim_box;
-  if (dyn.mobility_enabled() &&
-      spec.engine != radio::InterferenceEngineKind::kNearFar)
-    sim.enable_mobility(placement, model);
-  std::unique_ptr<audit::InvariantAuditor> auditor;
+  sim_ = make_simulator(spec, seed, scenario_, placement, model_);
+  sim::Simulator& sim = *sim_;
+  if (dyn.mobility_enabled()) sim.enable_mobility(placement, model_);
   if (spec.audit) {
-    auditor = std::make_unique<audit::InvariantAuditor>(sim);
-    sim.add_observer(auditor.get());
+    auditor_ = std::make_unique<audit::InvariantAuditor>(sim);
+    sim.add_observer(auditor_.get());
   }
   // Churn rejoin factory, built from a pre-run snapshot: a scheme station
   // warm-reboots with its flash-stored config and neighbour table (clock
@@ -190,9 +230,9 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
     if (spec.mac == MacKind::kScheme) {
       std::vector<core::ScheduledStationConfig> cfgs;
       std::vector<core::NeighborTable> tables;
-      cfgs.reserve(scenario.net.macs.size());
-      tables.reserve(scenario.net.macs.size());
-      for (const auto& mac : scenario.net.macs) {
+      cfgs.reserve(scenario_.net.macs.size());
+      tables.reserve(scenario_.net.macs.size());
+      for (const auto& mac : scenario_.net.macs) {
         cfgs.push_back(mac->config());
         tables.push_back(mac->neighbors());
       }
@@ -204,44 +244,51 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
       rejoin = [spec](StationId) { return make_baseline_mac(spec); };
     }
   }
-  install_macs(sim, scenario, spec);
+  install_macs(sim, scenario_, spec);
   if (dyn.jammer.count > 0)
     dynamics::install_jammers(sim, spec.stations, dyn.jammer);
-  sim.set_router(scenario.tables.router());
-  Rng traffic_rng = Rng(seed).split(2);
-  for (const auto& inj : sim::poisson_traffic(
-           spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
-  const double total = spec.duration_s + spec.drain_s;
-  std::optional<dynamics::DynamicsEngine> driver;
+  sim.set_router(scenario_.tables.router());
+  inject_poisson(sim, scenario_, spec.rate_pps, spec.duration_s,
+                 Rng(seed).split(2));
   if (dyn.enabled()) {
     dynamics::DynamicsConfig dc = dyn;
     if (dc.mobility_enabled() && dc.mobility_region_m <= 0.0)
       dc.mobility_region_m = spec.region_m;
-    driver.emplace(dc, sim, placement, spec.stations, std::move(rejoin),
-                   Rng(seed).split(3));
-    driver->run(total);
-  } else {
-    sim.run_until(total);
+    dynamics_.emplace(dc, sim, std::move(placement), spec.stations,
+                      std::move(rejoin), Rng(seed).split(3));
   }
-  TrialResult result = summarize(sim.metrics(), total);
-  const auto qs = sim.queue_stats();
+}
+
+Trial::~Trial() = default;
+
+TrialResult Trial::run() {
+  const double total = spec_.duration_s + spec_.drain_s;
+  if (dynamics_) {
+    dynamics_->run(total);
+  } else {
+    sim_->run_until(total);
+  }
+  TrialResult result = summarize(sim_->metrics(), total);
+  const auto qs = sim_->queue_stats();
   result.events_processed = qs.events_processed;
   result.peak_queue_bytes = qs.peak_bytes;
-  if (driver) {
-    std::vector<double> samples = driver->recovery_samples();
+  if (dynamics_) {
+    std::vector<double> samples = dynamics_->recovery_samples();
     std::sort(samples.begin(), samples.end());
     result.median_recovery_s =
         samples.empty() ? 0.0 : samples[samples.size() / 2];
   }
-  if (auditor) {
-    auditor->finalize(total);
-    auditor->cross_check(sim.metrics());
-    result.audit_checks = auditor->checks_run();
-    result.audit_violations = auditor->violation_count();
+  if (auditor_) {
+    auditor_->finalize(total);
+    auditor_->cross_check(sim_->metrics());
+    result.audit_checks = auditor_->checks_run();
+    result.audit_violations = auditor_->violation_count();
   }
   return result;
+}
+
+TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
+  return Trial(spec, seed).run();
 }
 
 const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
@@ -250,11 +297,7 @@ const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
   for (StationId s = 0; s < scenario.gains.size(); ++s)
     sim.set_mac(s, std::move(scenario.net.macs[s]));
   sim.set_router(scenario.tables.router());
-  Rng rng(traffic_seed);
-  for (const auto& inj : sim::poisson_traffic(
-           packets_per_s, duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), rng))
-    sim.inject(inj.time_s, inj.packet);
+  inject_poisson(sim, scenario, packets_per_s, duration_s, Rng(traffic_seed));
   sim.run_until(duration_s + drain_s);
   return sim.metrics();
 }

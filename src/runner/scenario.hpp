@@ -1,7 +1,6 @@
-// Declarative scenario assembly + single-trial execution for the experiment
-// runner. This is the scenario logic the bench binaries used to carry
-// privately in bench/common.hpp, promoted to a library so sweeps, tools and
-// benches share one definition.
+// Declarative scenario assembly + single-trial execution: the one scenario
+// pipeline behind drn_sim, drn_sweep, the bench binaries and the end-to-end
+// tests.
 //
 // A trial is a pure function of (ScenarioSpec, seed): it builds a fresh
 // placement, propagation matrix, network and simulator, runs Poisson traffic
@@ -19,12 +18,17 @@
 #include "dynamics/dynamics.hpp"
 #include "geo/placement.hpp"
 #include "radio/interference_engine.hpp"
+#include "radio/propagation.hpp"
 #include "radio/propagation_matrix.hpp"
 #include "radio/reception.hpp"
 #include "routing/dijkstra.hpp"
 #include "routing/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+
+namespace drn::audit {
+class InvariantAuditor;
+}  // namespace drn::audit
 
 namespace drn::runner {
 
@@ -59,9 +63,12 @@ struct Scenario {
   routing::RoutingTables tables;
 };
 
-[[nodiscard]] Scenario make_scenario(std::size_t stations, double region_m,
-                                     std::uint64_t seed,
-                                     core::ScheduledNetworkConfig net_cfg);
+/// Uniform-disc placement, gains under `model`, the scheduled network and
+/// its min-energy routes; deterministic in `seed`.
+[[nodiscard]] Scenario make_scenario(
+    std::size_t stations, double region_m, std::uint64_t seed,
+    core::ScheduledNetworkConfig net_cfg,
+    const radio::PropagationModel& model = radio::FreeSpacePropagation{});
 
 /// Everything that defines one experiment point, MAC and workload included.
 struct ScenarioSpec {
@@ -89,17 +96,25 @@ struct ScenarioSpec {
   radio::InterferenceEngineKind engine =
       radio::InterferenceEngineKind::kCompensated;
   /// Near/far engine knobs (engine == kNearFar only): cutoff radius inside
-  /// which interferers are summed exactly (<= 0 = the whole region, i.e.
-  /// near-exact) and grid cell side (<= 0 = cutoff / 4).
+  /// which interferers are summed exactly (<= 0 = twice the free-space reach
+  /// of the power budget, 2 * sqrt(net.max_power_w / net.target_received_w))
+  /// and grid cell side (<= 0 = cutoff / 4).
   double engine_cutoff_m = 0.0;
   double engine_cell_m = 0.0;
+  /// Propagation: free space unless dual_slope (two-ray, steepening past
+  /// breakpoint_m); shadowing_db > 0 adds log-normal shadowing of that sigma,
+  /// seeded from the trial seed. Gains, engine, jammers and mobility all use
+  /// this one model.
+  bool dual_slope = false;
+  double breakpoint_m = 100.0;
+  double shadowing_db = 0.0;
   /// Network dynamics & fault injection (src/dynamics/). All off by default:
   /// a spec with dynamics disabled takes exactly the static trial code path,
   /// draw for draw. When churn or drift is on and the MAC is the scheme, set
   /// net.beacon_interval_s (+ neighbor_timeout_s / readopt_neighbors) so the
   /// stations can actually re-converge; jammer stations are appended after
   /// the real network and excluded from traffic, routing and churn. When
-  /// mobility is on and mobility_region_m is 0, run_trial fills it from
+  /// mobility is on and mobility_region_m is 0, the trial fills it from
   /// region_m.
   dynamics::DynamicsConfig dynamics;
 
@@ -162,8 +177,35 @@ void install_macs(sim::Simulator& sim, Scenario& scenario,
 [[nodiscard]] std::unique_ptr<sim::MacProtocol> make_baseline_mac(
     const ScenarioSpec& spec);
 
-/// Builds the scenario for (spec, seed), runs it, and summarises. The whole
-/// trial is deterministic in its two arguments.
+/// One trial, assembled and ready to run. The constructor builds everything
+/// from (spec, seed): placement, gains, scheduled network, routing tables,
+/// simulator, MACs, router, jammers, Poisson traffic and, when the spec
+/// enables any, the dynamics engine. Callers attach observers (traces,
+/// auditors) through simulator() before run(); observers are passive, so
+/// attaching them leaves the result unchanged.
+class Trial {
+ public:
+  Trial(const ScenarioSpec& spec, std::uint64_t seed);
+  ~Trial();  // out of line: audit::InvariantAuditor is incomplete here
+
+  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
+  [[nodiscard]] const Scenario& scenario() const { return scenario_; }
+
+  /// Runs for duration + drain and summarises (audit and recovery fields
+  /// included). Call once.
+  [[nodiscard]] TrialResult run();
+
+ private:
+  ScenarioSpec spec_;
+  std::shared_ptr<const radio::PropagationModel> model_;
+  Scenario scenario_;
+  std::unique_ptr<sim::Simulator> sim_;
+  std::unique_ptr<audit::InvariantAuditor> auditor_;
+  std::optional<dynamics::DynamicsEngine> dynamics_;
+};
+
+/// Trial(spec, seed).run(): the whole trial is deterministic in its two
+/// arguments.
 [[nodiscard]] TrialResult run_trial(const ScenarioSpec& spec,
                                     std::uint64_t seed);
 

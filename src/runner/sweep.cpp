@@ -14,16 +14,16 @@ std::uint64_t trial_seed(std::uint64_t master_seed, std::uint64_t trial_index) {
   return master.split(trial_index)();
 }
 
-std::vector<Trial> expand(const SweepSpec& spec) {
+std::vector<SweepTrial> expand(const SweepSpec& spec) {
   DRN_EXPECTS(spec.seeds > 0);
-  std::vector<Trial> trials;
+  std::vector<SweepTrial> trials;
   trials.reserve(spec.trial_count());
   for (std::size_t m : spec.stations)
     for (double region : spec.region_m)
       for (MacKind mac : spec.macs)
         for (double rate : spec.rates_pps)
           for (std::size_t rep = 0; rep < spec.seeds; ++rep) {
-            Trial t;
+            SweepTrial t;
             t.index = trials.size();
             t.point = ParamPoint{m, region, mac, rate};
             t.replicate = rep;
@@ -34,7 +34,7 @@ std::vector<Trial> expand(const SweepSpec& spec) {
   return trials;
 }
 
-ScenarioSpec trial_scenario(const SweepSpec& spec, const Trial& trial) {
+ScenarioSpec trial_scenario(const SweepSpec& spec, const SweepTrial& trial) {
   ScenarioSpec s = spec.base;
   s.stations = trial.point.stations;
   s.region_m = trial.point.region_m;
@@ -57,7 +57,7 @@ SweepResult run_sweep(
   std::atomic<std::size_t> done{0};
   ThreadPool pool(out.jobs);
   parallel_for(pool, out.trials.size(), [&](std::size_t i) {
-    const Trial& trial = out.trials[i];
+    const SweepTrial& trial = out.trials[i];
     out.results[i] = run_trial(trial_scenario(spec, trial), trial.seed);
     const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (progress) progress(d, out.trials.size());
@@ -72,7 +72,7 @@ std::vector<PointSummary> summarize(const SweepSpec& spec,
                                     const SweepResult& result) {
   std::vector<PointSummary> points;
   for (std::size_t i = 0; i < result.trials.size(); ++i) {
-    const Trial& trial = result.trials[i];
+    const SweepTrial& trial = result.trials[i];
     if (trial.replicate == 0) {
       PointSummary p;
       p.point = trial.point;
@@ -167,40 +167,14 @@ void write_results_json(std::ostream& os, const SweepSpec& spec,
 
   w.key("trials").begin_array();
   for (std::size_t i = 0; i < result.trials.size(); ++i) {
-    const Trial& t = result.trials[i];
+    const SweepTrial& t = result.trials[i];
     const TrialResult& r = result.results[i];
     w.begin_object();
     w.key("index").value(t.index);
     write_point(w, t.point);
     w.key("replicate").value(t.replicate);
     w.key("seed").value(t.seed);
-    w.key("offered").value(r.offered);
-    w.key("delivered").value(r.delivered);
-    w.key("delivery_ratio").value(r.delivery_ratio);
-    w.key("hop_attempts").value(r.hop_attempts);
-    w.key("hop_successes").value(r.hop_successes);
-    w.key("type1_losses").value(r.type1_losses);
-    w.key("type2_losses").value(r.type2_losses);
-    w.key("type3_losses").value(r.type3_losses);
-    w.key("mac_drops").value(r.mac_drops);
-    w.key("mean_delay_s").value(r.mean_delay_s);
-    w.key("mean_hops").value(r.mean_hops);
-    w.key("tx_per_hop").value(r.tx_per_hop);
-    w.key("mean_duty").value(r.mean_duty);
-    if (spec.base.audit) {
-      w.key("audit_checks").value(r.audit_checks);
-      w.key("audit_violations").value(r.audit_violations);
-    }
-    if (spec.base.dynamics.enabled()) {
-      w.key("aborted_losses").value(r.aborted_losses);
-      w.key("station_leaves").value(r.station_leaves);
-      w.key("station_joins").value(r.station_joins);
-      w.key("churn_drops").value(r.churn_drops);
-      w.key("noise_bursts").value(r.noise_bursts);
-      w.key("recoveries").value(r.recoveries);
-      w.key("mean_recovery_s").value(r.mean_recovery_s);
-      w.key("median_recovery_s").value(r.median_recovery_s);
-    }
+    write_trial_fields(w, r, spec.base.audit, spec.base.dynamics.enabled());
     w.end_object();
   }
   w.end_array();
@@ -226,6 +200,37 @@ void write_results_json(std::ostream& os, const SweepSpec& spec,
 
   w.end_object();
   os << '\n';
+}
+
+void write_trial_fields(json::Writer& w, const TrialResult& r, bool audit,
+                        bool dynamics) {
+  w.key("offered").value(r.offered);
+  w.key("delivered").value(r.delivered);
+  w.key("delivery_ratio").value(r.delivery_ratio);
+  w.key("hop_attempts").value(r.hop_attempts);
+  w.key("hop_successes").value(r.hop_successes);
+  w.key("type1_losses").value(r.type1_losses);
+  w.key("type2_losses").value(r.type2_losses);
+  w.key("type3_losses").value(r.type3_losses);
+  w.key("mac_drops").value(r.mac_drops);
+  w.key("mean_delay_s").value(r.mean_delay_s);
+  w.key("mean_hops").value(r.mean_hops);
+  w.key("tx_per_hop").value(r.tx_per_hop);
+  w.key("mean_duty").value(r.mean_duty);
+  if (audit) {
+    w.key("audit_checks").value(r.audit_checks);
+    w.key("audit_violations").value(r.audit_violations);
+  }
+  if (dynamics) {
+    w.key("aborted_losses").value(r.aborted_losses);
+    w.key("station_leaves").value(r.station_leaves);
+    w.key("station_joins").value(r.station_joins);
+    w.key("churn_drops").value(r.churn_drops);
+    w.key("noise_bursts").value(r.noise_bursts);
+    w.key("recoveries").value(r.recoveries);
+    w.key("mean_recovery_s").value(r.mean_recovery_s);
+    w.key("median_recovery_s").value(r.median_recovery_s);
+  }
 }
 
 void write_timing_json(std::ostream& os, const SweepResult& result) {

@@ -16,6 +16,7 @@
 #include <ostream>
 #include <vector>
 
+#include "runner/json.hpp"
 #include "runner/scenario.hpp"
 #include "runner/summary.hpp"
 
@@ -59,7 +60,7 @@ struct ParamPoint {
 };
 
 /// One unit of work: a parameter point plus a seed replicate.
-struct Trial {
+struct SweepTrial {
   std::size_t index = 0;      // position in the expanded sweep
   ParamPoint point;
   std::size_t replicate = 0;  // 0 .. seeds-1
@@ -72,11 +73,11 @@ struct Trial {
 
 /// Expands the spec into its trial list: axes vary slowest-to-fastest in the
 /// order stations, region, mac, rate, replicate; index is the row number.
-[[nodiscard]] std::vector<Trial> expand(const SweepSpec& spec);
+[[nodiscard]] std::vector<SweepTrial> expand(const SweepSpec& spec);
 
 /// Builds the full ScenarioSpec for one trial.
 [[nodiscard]] ScenarioSpec trial_scenario(const SweepSpec& spec,
-                                          const Trial& trial);
+                                          const SweepTrial& trial);
 
 /// Per-point aggregation of the replicate results.
 struct PointSummary {
@@ -94,7 +95,7 @@ struct PointSummary {
 };
 
 struct SweepResult {
-  std::vector<Trial> trials;
+  std::vector<SweepTrial> trials;
   /// results[i] belongs to trials[i].
   std::vector<TrialResult> results;
   /// Measured execution facts — NOT written into the results document.
@@ -123,6 +124,13 @@ struct SweepResult {
 /// Byte-identical for any thread count.
 void write_results_json(std::ostream& os, const SweepSpec& spec,
                         const SweepResult& result);
+
+/// Writes one trial's outcome as object members: the counters and means,
+/// then audit_checks/audit_violations when `audit`, then the dynamics
+/// counters when `dynamics`. The per-trial rows of drn-sweep-v3 and
+/// drn_sim's JSON line both use it.
+void write_trial_fields(json::Writer& w, const TrialResult& r, bool audit,
+                        bool dynamics);
 
 /// Writes the one-line timing record: {"jobs":..,"trials":..,"wall_s":..,
 /// "trials_per_s":..}. Varies run to run — keep it out of results files you

@@ -12,8 +12,6 @@ namespace {
 std::unique_ptr<radio::InterferenceEngine> engine_from_matrix(
     radio::PropagationMatrix gains, radio::InterferenceEngineKind kind) {
   switch (kind) {
-    case radio::InterferenceEngineKind::kDense:
-      return radio::make_dense_engine(std::move(gains));
     case radio::InterferenceEngineKind::kCompensated:
       return radio::make_compensated_engine(std::move(gains));
     case radio::InterferenceEngineKind::kNearFar:

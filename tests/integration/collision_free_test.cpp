@@ -10,18 +10,6 @@
 namespace drn::testing {
 namespace {
 
-core::ScheduledNetworkConfig multihop_config() {
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;  // reach ~400 m
-  cfg.exact_clock_models = false;
-  cfg.max_drift_ppm = 20.0;
-  cfg.rendezvous_count = 4;
-  cfg.rendezvous_noise_s = 1.0e-6;
-  cfg.guard_fraction = 0.02;
-  return cfg;
-}
-
 class CollisionFree : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {

@@ -8,76 +8,36 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <utility>
 
 #include "audit/invariant_auditor.hpp"
 #include "radio/interference_engine.hpp"
-#include "radio/propagation.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 #include "sim/simulator.hpp"
-#include "sim/traffic.hpp"
 
 namespace drn {
 namespace {
-
-audit::AuditConfig recording_config(const sim::Simulator& sim) {
-  audit::AuditConfig cfg;
-  cfg.stations = sim.station_count();
-  cfg.despreading_channels = sim.config().despreading_channels;
-  cfg.thermal_noise = drn::units::Watts{sim.config().thermal_noise_w};
-  cfg.bandwidth = sim.config().criterion.bandwidth();
-  cfg.margin = sim.config().criterion.margin();
-  cfg.record_receptions = true;
-  return cfg;
-}
 
 struct AuditedRun {
   runner::TrialResult result;
   std::unique_ptr<audit::InvariantAuditor> auditor;
 };
 
-/// runner::run_trial with a recording auditor riding along (the runner's own
-/// audit path records no per-reception outcomes, which the engine
+/// The runner's trial with a recording auditor riding along (the runner's
+/// own audit path records no per-reception outcomes, which the engine
 /// cross-check needs).
 AuditedRun run_audited(const runner::ScenarioSpec& spec, std::uint64_t seed) {
-  auto scenario =
-      runner::make_scenario(spec.stations, spec.region_m, seed, spec.net);
-  sim::SimulatorConfig sim_cfg{spec.criterion()};
-  sim_cfg.seed = seed;
-  sim_cfg.engine = spec.engine;
-  std::optional<sim::Simulator> sim_box;
-  if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
-    radio::NearFarConfig nf;
-    nf.cutoff = radio::Meters{
-        spec.engine_cutoff_m > 0.0 ? spec.engine_cutoff_m : 2.0 * spec.region_m};
-    nf.cell = radio::Meters{spec.engine_cell_m};
-    sim_box.emplace(
-        radio::make_nearfar_engine(scenario.placement,
-                                   std::make_shared<radio::FreeSpacePropagation>(),
-                                   nf),
-        sim_cfg);
-  } else {
-    sim_box.emplace(scenario.gains, sim_cfg);
-  }
-  sim::Simulator& sim = *sim_box;
-  auto auditor =
-      std::make_unique<audit::InvariantAuditor>(recording_config(sim));
+  runner::Trial trial(spec, seed);
+  sim::Simulator& sim = trial.simulator();
+  audit::AuditConfig cfg = audit::config_for(sim);
+  cfg.record_receptions = true;
+  auto auditor = std::make_unique<audit::InvariantAuditor>(cfg);
   sim.add_observer(auditor.get());
-  runner::install_macs(sim, scenario, spec);
-  sim.set_router(scenario.tables.router());
-  Rng traffic_rng = Rng(seed).split(2);
-  for (const auto& inj : sim::poisson_traffic(
-           spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
-  const double total = spec.duration_s + spec.drain_s;
-  sim.run_until(total);
-  AuditedRun out;
-  out.result = runner::summarize(sim.metrics(), total);
-  auditor->finalize(total);
-  auditor->cross_check(sim.metrics());
-  return AuditedRun{out.result, std::move(auditor)};
+  AuditedRun out{trial.run(), std::move(auditor)};
+  out.auditor->finalize(spec.duration_s + spec.drain_s);
+  out.auditor->cross_check(sim.metrics());
+  return out;
 }
 
 /// Per-far-field-term relative gain error of the near/far engine: both

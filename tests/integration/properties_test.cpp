@@ -136,10 +136,7 @@ TEST(SinrBookkeeping, MarginMatchesBruteForceForStaggeredOverlaps) {
 class Conservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Conservation, AttemptsEqualSuccessesPlusLosses) {
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
-  auto scenario = make_scenario(25, 800.0, GetParam(), cfg);
+  auto scenario = make_scenario(25, 800.0, GetParam(), multihop_config());
   sim::SimulatorConfig sc{scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
@@ -183,10 +180,7 @@ TEST(Conservation, HoldsForContendingBaselinesToo) {
 
 TEST(Determinism, FullScenarioIsBitReproducible) {
   auto run = [] {
-    core::ScheduledNetworkConfig cfg;
-    cfg.target_received_w = 1.0e-9;
-    cfg.max_power_w = 1.6e-4;
-    auto scenario = make_scenario(20, 700.0, 31, cfg);
+    auto scenario = make_scenario(20, 700.0, 31, multihop_config());
     sim::SimulatorConfig sc{scheme_criterion()};
     sim::Simulator sim(scenario.gains, sc);
     ScopedAudit audited(sim);

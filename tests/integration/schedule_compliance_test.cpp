@@ -62,13 +62,8 @@ class WindowAuditor final : public sim::SimObserver {
 class ScheduleCompliance : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ScheduleCompliance, EveryTransmissionHonoursBothSchedules) {
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
-  cfg.exact_clock_models = false;  // fitted models + guards must still comply
-  cfg.max_drift_ppm = 20.0;
-  cfg.rendezvous_noise_s = 1.0e-6;
-  auto scenario = make_scenario(30, 900.0, GetParam(), cfg);
+  // Fitted clock models + guards must still comply.
+  auto scenario = make_scenario(30, 900.0, GetParam(), multihop_config());
 
   WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
   sim::SimulatorConfig sc{scheme_criterion()};
@@ -88,10 +83,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleCompliance,
 TEST(ScheduleCompliance, BaselinesDoViolateSchedules) {
   // Control: ALOHA transmits whenever it pleases, so against the same
   // schedules it racks up violations — the auditor is not vacuous.
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
-  auto scenario = make_scenario(30, 900.0, 13, cfg);
+  auto scenario = make_scenario(30, 900.0, 13, multihop_config());
 
   WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
   sim::SimulatorConfig sc{scheme_criterion()};

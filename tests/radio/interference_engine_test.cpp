@@ -1,11 +1,12 @@
-// Tests for the pluggable interference engines: name parsing, dense /
-// compensated / nearfar agreement on shared scenarios, the near/far
+// Tests for the pluggable interference engines: name parsing, compensated /
+// nearfar agreement on shared scenarios, the near/far
 // far-field approximation bound, and the drift regression the compensated
 // engine exists to fix.
 #include "radio/interference_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -22,14 +23,14 @@ namespace drn::radio {
 namespace {
 
 TEST(InterferenceEngine, ParseAndNameRoundTrip) {
-  for (const auto kind :
-       {InterferenceEngineKind::kDense, InterferenceEngineKind::kCompensated,
-        InterferenceEngineKind::kNearFar}) {
+  for (const auto kind : {InterferenceEngineKind::kCompensated,
+                          InterferenceEngineKind::kNearFar}) {
     const auto parsed = parse_engine(engine_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(parse_engine("exact").has_value());
+  EXPECT_FALSE(parse_engine("dense").has_value());  // removed engine
   EXPECT_FALSE(parse_engine("").has_value());
 }
 
@@ -85,9 +86,16 @@ Workload make_workload(std::size_t stations, std::uint64_t seed) {
 }
 
 /// Drives `engine` through a deterministic start/open/end script and returns
-/// the interference of every open reception at a few sample points.
+/// the interference of every open reception at a few sample points (with
+/// `recomputed`, the engine's from-scratch recomputation instead).
 std::vector<double> run_script(InterferenceEngine& engine,
-                               std::size_t stations, std::uint64_t seed) {
+                               std::size_t stations, std::uint64_t seed,
+                               bool recomputed = false) {
+  const auto sample = [&](ReceptionHandle h) {
+    return (recomputed ? engine.recomputed_interference(h)
+                       : engine.interference(h))
+        .value();
+  };
   std::vector<double> samples;
   Rng rng(seed);
   std::deque<std::uint64_t> on_air;
@@ -123,20 +131,20 @@ std::vector<double> run_script(InterferenceEngine& engine,
       engine.transmit_ended(tx, affected_noop);
     }
     if (step % 25 == 0)
-      for (const auto& [h, tx] : open) samples.push_back(engine.interference(h).value());
+      for (const auto& [h, tx] : open) samples.push_back(sample(h));
   }
-  for (const auto& [h, tx] : open) samples.push_back(engine.interference(h).value());
+  for (const auto& [h, tx] : open) samples.push_back(sample(h));
   return samples;
 }
 
 TEST(InterferenceEngine, CompensatedMatchesDenseRecomputation) {
   const std::size_t stations = 24;
   auto w = make_workload(stations, 41);
-  const auto dense = make_dense_engine(w.gains);
+  const auto truth = make_compensated_engine(w.gains);
   const auto comp = make_compensated_engine(w.gains);
-  dense->set_thermal_noise(Watts{1.0e-15});
+  truth->set_thermal_noise(Watts{1.0e-15});
   comp->set_thermal_noise(Watts{1.0e-15});
-  const auto a = run_script(*dense, stations, 99);
+  const auto a = run_script(*truth, stations, 99, /*recomputed=*/true);
   const auto b = run_script(*comp, stations, 99);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -145,8 +153,8 @@ TEST(InterferenceEngine, CompensatedMatchesDenseRecomputation) {
 
 TEST(InterferenceEngine, NearFarWithFullCutoffMatchesCompensated) {
   // Cutoff spanning the whole region: every interferer is in the near field,
-  // so the nearfar engine must agree with the dense-matrix engines to
-  // rounding error.
+  // so the nearfar engine must agree with the matrix engine to rounding
+  // error.
   const std::size_t stations = 24;
   auto w = make_workload(stations, 43);
   const auto comp = make_compensated_engine(w.gains);
@@ -210,9 +218,9 @@ TEST(InterferenceEngine, NearFarFarFieldStaysWithinCellBound) {
 // The drift regression (ISSUE 4 satellite 1).
 //
 // One long-lived reception watches >= 10^4 overlapping transmissions come
-// and go. The legacy dense engine's subtract-and-clamp accumulates rounding
-// error in its incremental interference; the compensated engine stays within
-// 1e-12 relative of a from-scratch recomputation throughout.
+// and go. Plain subtract-and-clamp accumulates rounding error in its
+// incremental interference; the compensated engine stays within 1e-12
+// relative of a from-scratch recomputation throughout.
 
 /// Churns `total` overlapping transmissions (a sliding window of `overlap`
 /// concurrently on air) past one reception held open for the whole run, and
@@ -275,13 +283,28 @@ PropagationMatrix drift_matrix() {
 }
 
 TEST(InterferenceDrift, LegacyDenseEngineDriftsBeyondTolerance) {
-  const auto dense = make_dense_engine(drift_matrix());
-  dense->set_thermal_noise(Watts{1.0e-15});
-  const double worst = churn_and_measure(*dense, 10000, 16);
-  // The teeth of the regression test: the subtract-and-clamp baseline is
-  // measurably wrong. (Observed ~3e-3 relative on this workload; anything
-  // over the fixed engine's 1e-12 bound demonstrates the bug.)
-  EXPECT_GT(worst, 1.0e-12);
+  // The arithmetic the compensated engine replaced, on churn_and_measure's
+  // workload: plain += as an interferer keys up, subtract-and-clamp at
+  // thermal as it leaves. Afterwards only thermal and the 1e-10 W trickle
+  // truly remain.
+  constexpr double kThermal = 1.0e-15;
+  const double exact = kThermal + 1.0e-10;
+  double running = exact;
+  std::deque<double> on_air;
+  Rng rng(4242);
+  for (int i = 0; i < 10000 || !on_air.empty(); ++i) {
+    if (i < 10000) {
+      on_air.push_back(1.0 + 1.0e-6 * static_cast<double>(rng() % 999983));
+      running += on_air.back();
+    }
+    if (on_air.size() > 16 || i >= 10000) {
+      running = std::max(kThermal, running - on_air.front());
+      on_air.pop_front();
+    }
+  }
+  // The teeth of the regression test: subtract-and-clamp is measurably
+  // wrong, beyond the compensated engine's 1e-12 bound.
+  EXPECT_GT(std::abs(running - exact) / exact, 1.0e-12);
 }
 
 TEST(InterferenceDrift, CompensatedEngineStaysExact) {

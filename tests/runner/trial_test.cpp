@@ -1,0 +1,98 @@
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "audit/invariant_auditor.hpp"
+#include "radio/interference_engine.hpp"
+#include "runner/scenario.hpp"
+
+namespace drn::runner {
+namespace {
+
+ScenarioSpec small_spec() {
+  ScenarioSpec spec;
+  spec.stations = 20;
+  spec.region_m = 600.0;
+  spec.rate_pps = 50.0;
+  spec.duration_s = 1.0;
+  spec.drain_s = 5.0;
+  return spec;
+}
+
+void expect_same_outcome(const TrialResult& a, const TrialResult& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.hop_attempts, b.hop_attempts);
+  EXPECT_EQ(a.type1_losses, b.type1_losses);
+  EXPECT_EQ(a.type2_losses, b.type2_losses);
+  EXPECT_EQ(a.type3_losses, b.type3_losses);
+  EXPECT_EQ(a.mac_drops, b.mac_drops);
+  EXPECT_EQ(a.mean_delay_s, b.mean_delay_s);
+}
+
+TEST(Trial, ObserversLeaveTheResultUnchanged) {
+  ScenarioSpec spec = small_spec();
+  spec.mac = MacKind::kAloha;
+  Trial trial(spec, 5);
+  audit::InvariantAuditor auditor(trial.simulator());
+  trial.simulator().add_observer(&auditor);
+  const TrialResult observed = trial.run();
+  auditor.finalize(spec.duration_s + spec.drain_s);
+  auditor.cross_check(trial.simulator().metrics());
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_GT(observed.offered, 0u);
+  expect_same_outcome(observed, run_trial(spec, 5));
+}
+
+TEST(Trial, NearFarMobilityMovesStationsAndStaysAuditClean) {
+  ScenarioSpec spec = small_spec();
+  spec.engine = radio::InterferenceEngineKind::kNearFar;
+  spec.audit = true;
+  spec.dynamics.mobility_speed_mps = 20.0;
+  spec.dynamics.mobility_step_s = 0.25;
+  Trial trial(spec, 9);
+  const radio::InterferenceEngine& engine = trial.simulator().engine();
+  const double before = engine.gain(0, 1);
+  const TrialResult r = trial.run();
+  EXPECT_NE(engine.gain(0, 1), before);  // both stations roamed
+  EXPECT_GT(r.delivered, 0u);
+  EXPECT_GT(r.audit_checks, 0u);
+  EXPECT_EQ(r.audit_violations, 0u);
+}
+
+TEST(Trial, NearFarDefaultCutoffIsTwiceTheFreeSpaceReach) {
+  ScenarioSpec spec = small_spec();
+  spec.stations = 60;
+  spec.region_m = 1500.0;
+  spec.mac = MacKind::kAloha;
+  spec.rate_pps = 200.0;
+  spec.engine = radio::InterferenceEngineKind::kNearFar;
+  ScenarioSpec explicit_cutoff = spec;
+  // 2 * sqrt(max_power / target) = 2 * sqrt(1.6e-4 / 1e-9) = 800 m.
+  explicit_cutoff.engine_cutoff_m = 800.0;
+  expect_same_outcome(run_trial(spec, 3), run_trial(explicit_cutoff, 3));
+}
+
+/// Total gain from every other station into station 0.
+double gain_into_station0(const ScenarioSpec& spec, std::uint64_t seed) {
+  const Trial trial(spec, seed);
+  const auto& gains = trial.scenario().gains;
+  double sum = 0.0;
+  for (StationId s = 1; s < gains.size(); ++s) sum += gains.gain(0, s);
+  return sum;
+}
+
+TEST(Trial, PropagationModelReachesTheGains) {
+  ScenarioSpec spec = small_spec();
+  const double free_space = gain_into_station0(spec, 4);
+  spec.dual_slope = true;
+  const double dual_slope = gain_into_station0(spec, 4);
+  EXPECT_LT(dual_slope, free_space);  // steeper past the 100 m breakpoint
+  spec.shadowing_db = 6.0;
+  const double shadowed = gain_into_station0(spec, 4);
+  EXPECT_NE(shadowed, dual_slope);
+  EXPECT_EQ(gain_into_station0(spec, 4), shadowed);  // seeded by the trial
+}
+
+}  // namespace
+}  // namespace drn::runner
