@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 #include "core/clock_model.hpp"
 
 namespace drn::core {
@@ -49,16 +50,20 @@ ScheduledNetwork build_scheduled_network(
   };
 
   // Worst-case power each station may radiate: enough to reach its weakest
-  // neighbour. Used for the Section-7.3 significance test.
+  // neighbour. Used for the Section-7.3 significance test. Rows are
+  // independent and draw nothing from `rng`, so they scan in parallel, each
+  // station's neighbour list and worst power written by one block.
   std::vector<double> worst_power(m, 0.0);
-  for (StationId i = 0; i < m; ++i) {
-    for (StationId j = 0; j < m; ++j) {
-      if (i == j || !is_neighbor(i, j)) continue;
-      net.neighbors[i].push_back(j);
-      worst_power[i] =
-          std::max(worst_power[i], power.transmit_power_w(gains.gain(i, j)));
+  parallel_blocks(m, block_grain(m), [&](std::size_t lo, std::size_t hi) {
+    for (auto i = static_cast<StationId>(lo); i < hi; ++i) {
+      for (StationId j = 0; j < m; ++j) {
+        if (i == j || !is_neighbor(i, j)) continue;
+        net.neighbors[i].push_back(j);
+        worst_power[i] =
+            std::max(worst_power[i], power.transmit_power_w(gains.gain(i, j)));
+      }
     }
-  }
+  });
 
   // Rendezvous schedule shared by every pair (relative global times < 0, i.e.
   // before the simulation starts).

@@ -652,6 +652,16 @@ PropagationMatrix make_dense_gains(const geo::Placement& placement,
   return PropagationMatrix::from_placement(placement, model, self_gain);
 }
 
+PropagationMatrix make_dense_gains(const PropagationMatrix& prefix,
+                                   const geo::Placement& placement,
+                                   const PropagationModel& model,
+                                   LinearGain self_gain) {
+  DRN_EXPECTS(placement.size() <= kDenseMatrixGuardM);
+  // drn-lint: allow(dense-matrix) — the sanctioned guarded route.
+  return PropagationMatrix::from_placement(prefix, placement, model,
+                                           self_gain);
+}
+
 std::unique_ptr<InterferenceEngine> make_compensated_engine(
     PropagationMatrix gains) {
   return std::make_unique<CompensatedEngine>(std::move(gains));

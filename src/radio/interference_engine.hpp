@@ -183,6 +183,14 @@ inline constexpr std::size_t kDenseMatrixGuardM = 4096;
     const geo::Placement& placement, const PropagationModel& model,
     LinearGain self_gain = LinearGain{1.0});
 
+/// make_dense_gains(placement, model, self_gain) for a placement that extends
+/// the one `prefix` was built over (e.g. jammers appended after a network's
+/// stations): copies prefix's gains and computes only the new rows and
+/// columns. Bit-identical to the fresh build.
+[[nodiscard]] PropagationMatrix make_dense_gains(
+    const PropagationMatrix& prefix, const geo::Placement& placement,
+    const PropagationModel& model, LinearGain self_gain = LinearGain{1.0});
+
 /// Default engine: Neumaier accumulation + periodic exact recomputation.
 [[nodiscard]] std::unique_ptr<InterferenceEngine> make_compensated_engine(
     PropagationMatrix gains);

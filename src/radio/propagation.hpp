@@ -22,7 +22,10 @@
 namespace drn::radio {
 
 /// Interface: power gain between two points in the plane. Implementations
-/// must be symmetric (gain(a,b) == gain(b,a)) and positive.
+/// must be symmetric (gain(a,b) == gain(b,a)) and positive, and power_gain
+/// must be const and pure: a function of its two points alone, with no
+/// mutable state, safe to call from many threads at once. The gain matrix is
+/// built in parallel on that contract (DESIGN.md "Parallel set-up").
 class PropagationModel {
  public:
   virtual ~PropagationModel() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 
 namespace drn::radio {
 
@@ -17,14 +18,40 @@ PropagationMatrix::PropagationMatrix(std::size_t size, LinearGain self_gain)
 PropagationMatrix PropagationMatrix::from_placement(
     const geo::Placement& placement, const PropagationModel& model,
     LinearGain self_gain) {
+  return build(nullptr, placement, model, self_gain);
+}
+
+PropagationMatrix PropagationMatrix::from_placement(
+    const PropagationMatrix& prefix, const geo::Placement& placement,
+    const PropagationModel& model, LinearGain self_gain) {
+  return build(&prefix, placement, model, self_gain);
+}
+
+PropagationMatrix PropagationMatrix::build(const PropagationMatrix* prefix,
+                                           const geo::Placement& placement,
+                                           const PropagationModel& model,
+                                           LinearGain self_gain) {
   PropagationMatrix m(placement.size(), self_gain);
-  for (std::size_t i = 0; i < placement.size(); ++i) {
-    for (std::size_t j = i + 1; j < placement.size(); ++j) {
-      const double g = model.power_gain(placement[i], placement[j]).value();
-      m.gains_[i * m.size_ + j] = g;
-      m.gains_[j * m.size_ + i] = g;
+  const std::size_t n = m.size_;
+  const std::size_t known = prefix != nullptr ? prefix->size_ : 0;
+  DRN_EXPECTS(known <= n);
+  double* const gains = m.gains_.data();
+  // Rows in parallel, each written by one block: first the upper triangle
+  // (one model call per pair, i < j, as a serial double loop makes it, or a
+  // copy of the prefix's entry when both stations are in it), then the lower
+  // triangle copied from the finished upper one.
+  parallel_blocks(n, block_grain(n), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::size_t j = i + 1;
+      for (; j < known; ++j) gains[i * n + j] = prefix->gains_[i * known + j];
+      for (; j < n; ++j)
+        gains[i * n + j] = model.power_gain(placement[i], placement[j]).value();
     }
-  }
+  });
+  parallel_blocks(n, block_grain(n), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i)
+      for (std::size_t j = 0; j < i; ++j) gains[i * n + j] = gains[j * n + i];
+  });
   return m;
 }
 

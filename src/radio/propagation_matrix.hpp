@@ -26,9 +26,21 @@ class PropagationMatrix {
   /// The diagonal (a station's coupling to its own transmitter) is set to
   /// `self_gain`; the paper treats self-interference as unconditionally fatal
   /// (Type 3), so any value >= the strongest neighbour gain is faithful.
+  /// Rows are filled in parallel (common/parallel.hpp), which relies on
+  /// `model.power_gain` being const and pure; the result is bit-identical to
+  /// a serial loop calling power_gain(placement[i], placement[j]) for i < j.
   static PropagationMatrix from_placement(
       const geo::Placement& placement, const PropagationModel& model,
       LinearGain self_gain = LinearGain{1.0});
+
+  /// from_placement(placement, model, self_gain), copying the gains among the
+  /// first prefix.size() stations from `prefix` instead of recomputing them:
+  /// `prefix` must be that call's result over those stations (same
+  /// positions, model and self gain), so the two results are bit-identical.
+  /// Computes only the rows and columns of the stations appended after them.
+  static PropagationMatrix from_placement(
+      const PropagationMatrix& prefix, const geo::Placement& placement,
+      const PropagationModel& model, LinearGain self_gain = LinearGain{1.0});
 
   /// An M x M matrix with all off-diagonal gains zero (for incremental test
   /// construction via set_gain).
@@ -66,6 +78,12 @@ class PropagationMatrix {
 
  private:
   [[nodiscard]] std::size_t index(StationId rx, StationId tx) const;
+
+  // Both from_placement overloads; `prefix` may be null.
+  static PropagationMatrix build(const PropagationMatrix* prefix,
+                                 const geo::Placement& placement,
+                                 const PropagationModel& model,
+                                 LinearGain self_gain);
 
   std::size_t size_;
   std::vector<double> gains_;  // row-major: gains_[rx * size_ + tx]

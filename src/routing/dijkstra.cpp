@@ -5,6 +5,7 @@
 #include <span>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 
 namespace drn::routing {
 
@@ -209,11 +210,16 @@ RoutingTables RoutingTables::build(const Graph& graph) {
   auto next_hop = std::make_shared<StationId[]>(m * m, kNoStation);
   // One Dijkstra per DESTINATION: with symmetric costs, the parent of `at`
   // in the tree rooted at dst is exactly the next hop from `at` toward dst,
-  // so each tree is written straight into row dst.
-  Kernel kernel(m);
-  std::vector<double> cost(m);
-  for (StationId dst = 0; dst < m; ++dst)
-    kernel.run(*edges, dst, cost, {next_hop.get() + dst * m, m});
+  // so each tree is written straight into row dst. Trees are independent:
+  // blocks of destinations build in parallel, each with its own kernel
+  // scratch, and only the block owning dst writes row dst.
+  parallel_blocks(m, block_grain(m), [&](std::size_t lo, std::size_t hi) {
+    Kernel kernel(m);
+    std::vector<double> cost(m);
+    for (std::size_t dst = lo; dst < hi; ++dst)
+      kernel.run(*edges, static_cast<StationId>(dst), cost,
+                 {next_hop.get() + dst * m, m});
+  });
   return RoutingTables(m, std::move(next_hop), std::move(edges));
 }
 

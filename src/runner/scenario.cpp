@@ -53,6 +53,13 @@ core::ScheduledNetworkConfig multihop_config() {
   return cfg;
 }
 
+double ScenarioSpec::nearfar_cutoff_m() const {
+  if (engine_cutoff_m > 0.0) return engine_cutoff_m;
+  // Twice the free-space reach of the power budget, so only interferers well
+  // beyond any usable link are aggregated.
+  return 2.0 / std::sqrt(net.target_received_w / net.max_power_w);
+}
+
 namespace {
 
 std::shared_ptr<const radio::PropagationModel> propagation_model(
@@ -81,21 +88,15 @@ std::unique_ptr<sim::Simulator> make_simulator(
   sim_cfg.seed = seed;
   sim_cfg.engine = spec.engine;
   if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
-    // Default cutoff: twice the free-space reach of the power budget, so
-    // only interferers well beyond any usable link are aggregated.
     radio::NearFarConfig nf;
-    nf.cutoff = radio::Meters{
-        spec.engine_cutoff_m > 0.0
-            ? spec.engine_cutoff_m
-            : 2.0 / std::sqrt(spec.net.target_received_w /
-                              spec.net.max_power_w)};
+    nf.cutoff = radio::Meters{spec.nearfar_cutoff_m()};
     nf.cell = radio::Meters{spec.engine_cell_m};
     return std::make_unique<sim::Simulator>(
         radio::make_nearfar_engine(placement, std::move(model), nf), sim_cfg);
   }
   if (placement.size() > scenario.gains.size())
     return std::make_unique<sim::Simulator>(
-        radio::make_dense_gains(placement, *model), sim_cfg);
+        radio::make_dense_gains(scenario.gains, placement, *model), sim_cfg);
   return std::make_unique<sim::Simulator>(scenario.gains, sim_cfg);
 }
 

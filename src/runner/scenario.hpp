@@ -123,6 +123,10 @@ struct ScenarioSpec {
                                      radio::BitsPerSecond{data_rate_bps},
                                      radio::Decibels{margin_db});
   }
+
+  /// The near/far engine's cutoff radius: engine_cutoff_m, or its default
+  /// when that is <= 0.
+  [[nodiscard]] double nearfar_cutoff_m() const;
 };
 
 /// Plain-scalar summary of one simulation run — everything the paper's

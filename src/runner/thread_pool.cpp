@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 
 namespace drn::runner {
 
@@ -36,11 +37,12 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-unsigned ThreadPool::hardware_jobs() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
+unsigned ThreadPool::hardware_jobs() { return hardware_threads(); }
 
 void ThreadPool::worker_loop() {
+  // Tasks are whole trials fanned across the cores already: the set-up
+  // stages inside them run their parallel_blocks inline.
+  const ParallelWorker worker;
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -6,7 +6,9 @@
 //   * exceptions thrown inside a task are captured and re-thrown to the
 //     caller (from the task's future, or from parallel_for, which re-throws
 //     the exception of the LOWEST-indexed failing iteration so the error a
-//     caller sees does not depend on scheduling).
+//     caller sees does not depend on scheduling);
+//   * workers are parallel workers (common/parallel.hpp): a task's own
+//     parallel_blocks calls run inline instead of oversubscribing the cores.
 #pragma once
 
 #include <condition_variable>
@@ -39,7 +41,7 @@ class ThreadPool {
   /// whatever the task threw).
   std::future<void> submit(std::function<void()> task);
 
-  /// std::thread::hardware_concurrency clamped to at least 1.
+  /// drn::hardware_threads(): hardware_concurrency clamped to at least 1.
   [[nodiscard]] static unsigned hardware_jobs();
 
  private:

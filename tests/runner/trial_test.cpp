@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "audit/invariant_auditor.hpp"
+#include "dynamics/jammer.hpp"
 #include "radio/interference_engine.hpp"
 #include "runner/scenario.hpp"
 
@@ -70,6 +73,8 @@ TEST(Trial, NearFarDefaultCutoffIsTwiceTheFreeSpaceReach) {
   ScenarioSpec explicit_cutoff = spec;
   // 2 * sqrt(max_power / target) = 2 * sqrt(1.6e-4 / 1e-9) = 800 m.
   explicit_cutoff.engine_cutoff_m = 800.0;
+  EXPECT_DOUBLE_EQ(spec.nearfar_cutoff_m(), 800.0);
+  EXPECT_EQ(explicit_cutoff.nearfar_cutoff_m(), 800.0);
   expect_same_outcome(run_trial(spec, 3), run_trial(explicit_cutoff, 3));
 }
 
@@ -92,6 +97,31 @@ TEST(Trial, PropagationModelReachesTheGains) {
   const double shadowed = gain_into_station0(spec, 4);
   EXPECT_NE(shadowed, dual_slope);
   EXPECT_EQ(gain_into_station0(spec, 4), shadowed);  // seeded by the trial
+}
+
+TEST(Trial, JammerRunExtendsTheScenarioMatrixBitForBit) {
+  ScenarioSpec spec = small_spec();
+  spec.dual_slope = true;
+  spec.dynamics.jammer.count = 3;
+  const std::uint64_t seed = 6;
+  Trial trial(spec, seed);
+  // The stations plus the jammers the trial appends (from its jammer stream),
+  // built afresh under the trial's propagation model.
+  Rng jammer_rng = Rng(seed).split(4);
+  const geo::Placement placement = dynamics::with_jammers(
+      trial.scenario().placement, spec.dynamics.jammer.count, spec.region_m,
+      jammer_rng);
+  const radio::PropagationMatrix fresh = radio::make_dense_gains(
+      placement, radio::DualSlopePropagation(radio::Meters{spec.breakpoint_m}));
+  const radio::InterferenceEngine& engine = trial.simulator().engine();
+  const std::size_t n = placement.size();
+  ASSERT_EQ(n, spec.stations + spec.dynamics.jammer.count);
+  std::vector<double> used(n * n);
+  for (StationId rx = 0; rx < n; ++rx)
+    for (StationId tx = 0; tx < n; ++tx)
+      used[rx * n + tx] = engine.gain(rx, tx);
+  EXPECT_EQ(
+      std::memcmp(used.data(), fresh.row(0), used.size() * sizeof(double)), 0);
 }
 
 }  // namespace

@@ -152,6 +152,8 @@ for c in cells:
     assert c["events_per_s"] > 0, c
     assert c["peak_queue_bytes"] > 0, c
     assert c["wall_s"] > 0, c
+    assert c["setup_s"] > 0, c
+    assert c["wall_s"] >= c["setup_s"], c
 print(f"event-core bench smoke OK: {len(cells)} cells, M in {sorted(stations)}")
 PY
 else

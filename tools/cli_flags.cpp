@@ -66,6 +66,12 @@ bool check_stations(std::size_t stations) {
   return false;
 }
 
+bool check_region(double region_m) {
+  if (region_m > 0.0) return true;
+  std::cerr << "--region must be > 0 m; got " << region_m << '\n';
+  return false;
+}
+
 bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme) {
   const bool jammer_knobs = flags.has("jammer-period") ||
                             flags.has("jammer-duty") ||
@@ -91,6 +97,12 @@ bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme) {
       spec.engine != radio::InterferenceEngineKind::kNearFar) {
     std::cerr << "--cutoff/--cell tune the near/far engine; "
                  "combine them with --engine nearfar\n";
+    return false;
+  }
+  if (spec.engine_cell_m > spec.nearfar_cutoff_m()) {
+    std::cerr << "--cell " << spec.engine_cell_m
+              << " is wider than the near/far cutoff ("
+              << spec.nearfar_cutoff_m() << " m); pick a cell <= the cutoff\n";
     return false;
   }
   if (dyn.churn_rate_per_s < 0.0 || dyn.mobility_speed_mps < 0.0 ||

@@ -85,9 +85,14 @@ class Flags {
 /// False (message printed) otherwise.
 bool check_stations(std::size_t stations);
 
+/// A disc radius a placement can use: > 0. False (message printed)
+/// otherwise.
+bool check_region(double region_m);
+
 /// The flags both CLIs share, applied to `spec` and validated: --engine,
-/// --cutoff, --cell, the dynamics flags (--churn ... --jammer-power),
-/// --beacon and --audit. `scheme` says whether a scheme MAC will run; under
+/// --cutoff, --cell (no wider than the cutoff in force), the dynamics flags
+/// (--churn ... --jammer-power), --beacon and --audit. Call it after the
+/// flags that set spec.net's powers, which the default cutoff derives from. `scheme` says whether a scheme MAC will run; under
 /// churn or drift (or an explicit --beacon) its maintenance beacons are
 /// configured.
 bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme);

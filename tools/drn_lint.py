@@ -59,6 +59,13 @@ depends on, none of which clang-tidy checks:
                   MAC hooks reach it only through RadioMedium::Client, so
                   the physical layer stays studyable with any MAC swapped
                   in above it.
+  raw-thread      no std::thread, std::jthread or std::async in library
+                  code under src/ outside common/parallel.* and
+                  runner/thread_pool.*: threads start in exactly those two
+                  places, which share one worker count and the
+                  inline-when-nested rule, so no stage oversubscribes the
+                  cores or races outside the one-writer-per-element
+                  discipline (DESIGN.md "Parallel set-up").
 
 Suppress a finding by appending `// drn-lint: allow(<rule>)` to the line,
 which is a grep-able record that a human judged the exception sound. The
@@ -108,6 +115,7 @@ KNOWN_RULES = frozenset(RULES) | {
     "manual-db",
     "raw-event-copy",
     "layer-boundary",
+    "raw-thread",
 }
 
 # An operand that makes ==/!= a floating-point comparison: a float literal
@@ -162,6 +170,10 @@ MANUAL_DB_EXEMPT = ("units",)
 # EventHandle, EventKind) do not match. Only src/sim/ may traffic in raw
 # Events.
 RAW_EVENT_COPY = re.compile(r"\b(?:sim::)?Event\s+\w+")
+
+RAW_THREAD = re.compile(r"\bstd::(?:thread|jthread|async)\b")
+# The only library files allowed to start threads: (module, stem) pairs.
+RAW_THREAD_EXEMPT = (("common", "parallel"), ("runner", "thread_pool"))
 
 # Quoted project includes, for the layer-boundary rule. System includes
 # (<...>) can never name a project layer.
@@ -373,6 +385,19 @@ def lint_file(path: pathlib.Path, repo: pathlib.Path,
                 "raw-event-copy",
                 "by-value sim::Event outside src/sim/; consume TxEvent/"
                 "RxEvent observer structs or MacContext hooks instead",
+            )
+        if (
+            in_library
+            and (module, path.stem) not in RAW_THREAD_EXEMPT
+            and RAW_THREAD.search(code)
+            and not allowed(raw, "raw-thread")
+        ):
+            report(
+                lineno,
+                "raw-thread",
+                "threads start only in common/parallel.* and "
+                "runner/thread_pool.*; use drn::parallel_blocks or a "
+                "runner::ThreadPool",
             )
         if in_library and not allowed(raw, "layer-boundary"):
             # The include path IS a string literal, so search the comment-

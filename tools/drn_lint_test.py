@@ -325,6 +325,60 @@ class LayerBoundary(LintFixture):
         self.assertEqual(f, [])
 
 
+class RawThread(LintFixture):
+    def test_fires_on_std_thread_in_library(self) -> None:
+        f = self.lint(
+            "src/routing/foo.cpp",
+            "std::thread t([] {});\n",
+        )
+        self.assertIn("raw-thread", self.rules(f))
+
+    def test_fires_on_jthread_and_async(self) -> None:
+        f = self.lint(
+            "src/radio/foo.cpp",
+            "std::jthread t([] {});\n"
+            "auto f = std::async(std::launch::async, [] {});\n",
+        )
+        self.assertEqual(sum("[raw-thread]" in x for x in f), 2, f)
+
+    def test_quiet_in_the_sanctioned_files(self) -> None:
+        for rel in (
+            "src/common/parallel.cpp",
+            "src/common/parallel.hpp",
+            "src/runner/thread_pool.cpp",
+            "src/runner/thread_pool.hpp",
+        ):
+            text = "#pragma once\n" if rel.endswith(".hpp") else ""
+            f = self.lint(rel, text + "std::vector<std::thread> workers_;\n")
+            self.assertEqual(f, [], rel)
+
+    def test_fires_on_same_stem_in_another_module(self) -> None:
+        # The exemption is per file, not per file name.
+        f = self.lint(
+            "src/sim/parallel.cpp",
+            "std::thread t([] {});\n",
+        )
+        self.assertIn("raw-thread", self.rules(f))
+
+    def test_quiet_outside_the_library(self) -> None:
+        f = self.lint("bench/foo.cpp", "std::thread t([] {});\n")
+        self.assertEqual(f, [])
+
+    def test_quiet_on_this_thread_and_comments(self) -> None:
+        f = self.lint(
+            "src/sim/foo.cpp",
+            "auto id = std::this_thread::get_id();  // not a std::thread\n",
+        )
+        self.assertEqual(f, [])
+
+    def test_suppression_waives(self) -> None:
+        f = self.lint(
+            "src/sim/foo.cpp",
+            "std::thread t([] {});  // drn-lint: allow(raw-thread)\n",
+        )
+        self.assertEqual(f, [])
+
+
 class ExistingRulesStillFire(LintFixture):
     def test_std_rng(self) -> None:
         f = self.lint("src/sim/a.cpp", "std::mt19937 gen;\n")

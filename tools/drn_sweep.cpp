@@ -146,6 +146,8 @@ bool parse(cli::Flags& flags, Options& opt) {
     return false;
   for (const std::size_t m : opt.spec.stations)
     if (!cli::check_stations(m)) return false;
+  for (const double region_m : opt.spec.region_m)
+    if (!cli::check_region(region_m)) return false;
   const bool scheme_in_sweep =
       std::find(opt.spec.macs.begin(), opt.spec.macs.end(),
                 runner::MacKind::kScheme) != opt.spec.macs.end();

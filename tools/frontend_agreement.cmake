@@ -4,9 +4,15 @@
 # compares the headline counters.
 #
 #   cmake -DSWEEP=<drn_sweep> -DSIM=<drn_sim> -DMAC=scheme|aloha|...
-#         -P frontend_agreement.cmake
-set(spec --stations 20 --region 600 --rate 50 --duration 0.5 --drain 10
-         --mac ${MAC})
+#         [-DSTATIONS=20 -DREGION=600] -P frontend_agreement.cmake
+if(NOT DEFINED STATIONS)
+  set(STATIONS 20)
+endif()
+if(NOT DEFINED REGION)
+  set(REGION 600)
+endif()
+set(spec --stations ${STATIONS} --region ${REGION} --rate 50 --duration 0.5
+         --drain 10 --mac ${MAC})
 execute_process(COMMAND "${SWEEP}" ${spec} --seeds 1 --progress 0 --json -
                 OUTPUT_VARIABLE sweep RESULT_VARIABLE rc ERROR_QUIET)
 if(NOT rc EQUAL 0)
