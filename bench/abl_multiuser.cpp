@@ -10,7 +10,8 @@
 
 #include "analysis/table.hpp"
 #include "baselines/aloha.hpp"
-#include "common.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace {
 
@@ -26,9 +27,9 @@ struct Outcome {
 };
 
 Outcome run_aloha(int k, std::uint64_t seed) {
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(20, 600.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(20, 600.0, seed, cfg);
   // Narrowband receiver (0 dB threshold): ALOHA's collisions are SINR
   // failures a canceller can actually rescue. (Under the 23 dB spread
   // design, ALOHA's losses are almost purely Type 3 — the receiver's own
@@ -55,15 +56,26 @@ Outcome run_aloha(int k, std::uint64_t seed) {
           sim.metrics().losses(sim::LossType::kType3)};
 }
 
-Outcome run_scheme(int k, std::uint64_t seed) {
-  auto cfg = drn::bench::multihop_config();
+// Wired by hand like run_aloha, not through runner::Trial: the canceller is
+// a SimulatorConfig knob (multiuser_subtract_k) that a ScenarioSpec does not
+// carry.
+Outcome run_scheduled(int k, std::uint64_t seed) {
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(20, 600.0, seed, cfg);
-  sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+  auto scenario = drn::runner::make_scenario(20, 600.0, seed, cfg);
+  sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sc.multiuser_subtract_k = k;
   sim::Simulator sim(scenario.gains, sc);
-  const auto& m =
-      drn::bench::run_scheme(scenario, sim, 800.0, 2.0, seed, 60.0);
+  for (StationId s = 0; s < scenario.gains.size(); ++s)
+    sim.set_mac(s, std::move(scenario.net.macs[s]));
+  sim.set_router(scenario.tables.router());
+  drn::Rng rng(seed);
+  for (const auto& inj : sim::poisson_traffic(
+           800.0, 2.0, scenario.net.packet_bits,
+           sim::uniform_pairs(scenario.gains.size()), rng))
+    sim.inject(inj.time_s, inj.packet);
+  sim.run_until(2.0 + 60.0);
+  const auto& m = sim.metrics();
   return {m.delivery_ratio(), m.losses(sim::LossType::kType1),
           m.losses(sim::LossType::kType2), m.losses(sim::LossType::kType3)};
 }
@@ -77,7 +89,7 @@ int main() {
            "scheme delivery", "scheme losses"});
   for (int k : {0, 1, 2, 4}) {
     const auto aloha = run_aloha(k, 1234);
-    const auto scheme = run_scheme(k, 1234);
+    const auto scheme = run_scheduled(k, 1234);
     t.add_row({Table::num(std::uint64_t(k)), Table::num(aloha.delivery, 4),
                Table::num(aloha.t1), Table::num(aloha.t2),
                Table::num(aloha.t3), Table::num(scheme.delivery, 4),

@@ -8,8 +8,9 @@
 #include <string>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "radio/units.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace {
 
@@ -25,9 +26,9 @@ struct Outcome {
 };
 
 Outcome run(bool controlled, std::uint64_t seed) {
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(40, 1000.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(40, 1000.0, seed, cfg);
 
   if (!controlled) {
     // Rebuild the MACs with fixed-power policy: every station blasts at the
@@ -48,10 +49,20 @@ Outcome run(bool controlled, std::uint64_t seed) {
     }
   }
 
-  sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+  // Wired by hand, not through runner::Trial: the fixed-power variant
+  // rewrites the MACs, which a ScenarioSpec cannot express.
+  sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sim::Simulator simulator(scenario.gains, sc);
-  const auto& m = drn::bench::run_scheme(scenario, simulator, 300.0, 2.0,
-                                         seed, 120.0);
+  for (StationId s = 0; s < scenario.gains.size(); ++s)
+    simulator.set_mac(s, std::move(scenario.net.macs[s]));
+  simulator.set_router(scenario.tables.router());
+  drn::Rng rng(seed);
+  for (const auto& inj : sim::poisson_traffic(
+           300.0, 2.0, scenario.net.packet_bits,
+           sim::uniform_pairs(scenario.gains.size()), rng))
+    simulator.inject(inj.time_s, inj.packet);
+  simulator.run_until(2.0 + 120.0);
+  const auto& m = simulator.metrics();
   Outcome o;
   o.margin_mean_db = m.sinr_margin_db().mean();
   o.margin_stddev_db =

@@ -8,15 +8,14 @@
 #include <vector>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "routing/min_energy.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
 using drn::StationId;
 using drn::analysis::Table;
 namespace routing = drn::routing;
-namespace sim = drn::sim;
 
 struct RouteStudy {
   double mean_hops = 0.0;
@@ -25,7 +24,7 @@ struct RouteStudy {
   std::size_t unreachable = 0;
 };
 
-RouteStudy study(const drn::bench::Scenario& scenario,
+RouteStudy study(const drn::runner::Scenario& scenario,
                  const routing::RoutingTables& tables,
                  StationId observer) {
   RouteStudy out;
@@ -74,21 +73,15 @@ int main() {
                "hop for every pair (reach permitting); observer D sits at the "
                "disc edge.\n\n";
 
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(40, 1000.0, 808, cfg);
+  auto scenario = drn::runner::make_scenario(40, 1000.0, 808, cfg);
   const double min_gain = cfg.target_received_w / cfg.max_power_w;
 
   const auto energy_graph = routing::Graph::min_energy(scenario.gains, min_gain);
   const auto hop_graph = routing::Graph::min_hop(scenario.gains, min_gain);
   const auto energy_tables = routing::RoutingTables::build(energy_graph);
   const auto hop_tables = routing::RoutingTables::build(hop_graph);
-  // "Direct": a one-edge graph per pair — emulate with a router that always
-  // answers `dst`, evaluated through the same study by building a complete
-  // min-energy graph with no gain floor.
-  const auto direct_graph = routing::Graph::min_energy(scenario.gains, 1.0e-12);
-  // Direct tables: next hop is always dst.
-  // (Study needs RoutingTables; emulate directness by querying the gains.)
 
   // Find an edge-of-disc observer: the station farthest from the origin.
   StationId observer = 0;
@@ -104,7 +97,8 @@ int main() {
   const auto energy = study(scenario, energy_tables, observer);
   const auto hops = study(scenario, hop_tables, observer);
 
-  // Direct study computed inline.
+  // "Direct": every pair is one max-power hop, so there are no tables to
+  // walk; the study is computed inline.
   RouteStudy direct;
   {
     std::size_t pairs = 0;
@@ -146,6 +140,5 @@ int main() {
          "stations; direct high-power hops are dramatically worse — 'the "
          "criteria used to determine routes will need to prefer the short "
          "hops'.\n";
-  (void)direct_graph;
   return 0;
 }

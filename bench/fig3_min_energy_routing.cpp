@@ -9,8 +9,12 @@
 #include <iostream>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
+#include "geo/placement.hpp"
 #include "radio/noise_growth.hpp"
+#include "radio/propagation.hpp"
+#include "radio/propagation_matrix.hpp"
+#include "routing/dijkstra.hpp"
+#include "routing/graph.hpp"
 #include "routing/min_energy.hpp"
 
 namespace {

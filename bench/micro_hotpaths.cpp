@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "common.hpp"
 #include "core/access.hpp"
+#include "runner/scenario.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -142,16 +142,17 @@ void BM_SimulatorEvent(benchmark::State& state) {
   const auto stations = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    auto cfg = drn::bench::multihop_config();
-    cfg.exact_clock_models = true;
-    auto scenario =
-        drn::bench::make_scenario(stations, 1000.0, 42, cfg);
-    sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
-    sim::Simulator simulator(scenario.gains, sc);
+    drn::runner::ScenarioSpec spec;
+    spec.stations = stations;
+    spec.region_m = 1000.0;
+    spec.rate_pps = 300.0;
+    spec.duration_s = 1.0;
+    spec.drain_s = 30.0;
+    spec.net.exact_clock_models = true;
+    drn::runner::Trial trial(spec, 42);
     state.ResumeTiming();
-    const auto& m =
-        drn::bench::run_scheme(scenario, simulator, 300.0, 1.0, 42, 30.0);
-    benchmark::DoNotOptimize(m.delivered());
+    const auto r = trial.run();
+    benchmark::DoNotOptimize(r.delivered);
   }
   state.SetLabel("stations=" + std::to_string(stations));
 }

@@ -13,8 +13,8 @@
 #include "analysis/delay_model.hpp"
 #include "analysis/schedule_math.hpp"
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "core/access.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -113,17 +113,20 @@ void duty_cycle_sweep() {
   Table t({"p", "delivered", "mean delay (slots)", "mean tx duty",
            "collision losses"});
   for (double p : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
-    auto cfg = drn::bench::multihop_config();
-    cfg.receive_fraction = p;
-    auto scenario = drn::bench::make_scenario(30, 900.0, 99, cfg);
-    sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
-    sim::Simulator simulator(scenario.gains, sc);
-    const double duration = 3.0;
-    const auto& m = drn::bench::run_scheme(scenario, simulator, 700.0,
-                                           duration, 99, 120.0);
+    drn::runner::ScenarioSpec spec;
+    spec.stations = 30;
+    spec.region_m = 900.0;
+    spec.rate_pps = 700.0;
+    spec.duration_s = 3.0;
+    spec.drain_s = 120.0;
+    spec.net.receive_fraction = p;
+    drn::runner::Trial trial(spec, 99);
+    (void)trial.run();
+    // Duty over the offer window, not the whole run (TrialResult::mean_duty).
+    const auto& m = trial.simulator().metrics();
     t.add_row({Table::num(p, 2), Table::num(m.delivered()),
-               Table::num(m.delay().mean() / cfg.slot_s, 1),
-               Table::num(m.mean_duty_cycle(duration), 3),
+               Table::num(m.delay().mean() / spec.net.slot_s, 1),
+               Table::num(m.mean_duty_cycle(spec.duration_s), 3),
                Table::num(m.total_hop_losses())});
   }
   t.print(std::cout);
@@ -146,14 +149,14 @@ void saturation_duty_cycle() {
   for (StationId a = 0; a < kStations; ++a)
     for (StationId b = static_cast<StationId>(a + 1); b < kStations; ++b)
       gains.set_gain(a, b, drn::radio::LinearGain{1.0e-4});
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.max_power_w = 1.0;
   cfg.exact_clock_models = true;
   cfg.respect_third_party_windows = false;
   drn::Rng rng(5);
   auto net = drn::core::build_scheduled_network(
-      gains, drn::bench::scheme_criterion(), cfg, rng);
-  sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+      gains, drn::runner::scheme_criterion(), cfg, rng);
+  sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sim::Simulator simulator(gains, sc);
   for (StationId s = 0; s < kStations; ++s)
     simulator.set_mac(s, std::move(net.macs[s]));

@@ -8,14 +8,8 @@
 
 #include "analysis/capacity.hpp"
 #include "analysis/table.hpp"
-#include "core/network_builder.hpp"
-#include "geo/placement.hpp"
 #include "radio/noise_growth.hpp"
-#include "radio/propagation.hpp"
-#include "routing/dijkstra.hpp"
-#include "routing/graph.hpp"
-#include "sim/simulator.hpp"
-#include "sim/traffic.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -31,45 +25,28 @@ struct Row {
 
 Row run(std::size_t stations, std::uint64_t seed) {
   const double region = 1500.0;
-  Rng rng(seed);
-  const auto placement = geo::uniform_disc(stations, region, rng);
-  const radio::FreeSpacePropagation propagation;
-  const auto gains =
-      radio::PropagationMatrix::from_placement(placement, propagation);
-  const radio::ReceptionCriterion criterion(radio::Hertz{200.0e6}, radio::BitsPerSecond{1.0e6}, radio::Decibels{5.0});
-
-  // Reach scales with density: 2.5x the characteristic length.
+  // Reach scales with density: 2.5x the characteristic length. The power
+  // budget target * reach^2 puts the routing floor at a gain of 1/reach^2.
   const double r0 = radio::characteristic_length(
       radio::disc_density(stations, radio::Meters{region})).value();
   const double reach = 2.5 * r0;
 
-  core::ScheduledNetworkConfig net_cfg;
-  net_cfg.target_received_w = 1.0e-9;
-  net_cfg.max_power_w = net_cfg.target_received_w * reach * reach;
-  Rng build_rng(seed + 1);
-  auto net = core::build_scheduled_network(gains, criterion, net_cfg, build_rng);
-
-  const auto graph = routing::Graph::min_energy(gains, 1.0 / (reach * reach));
-  const auto tables = routing::RoutingTables::build(graph);
-
-  sim::SimulatorConfig sim_cfg{criterion};
-  sim::Simulator sim(gains, sim_cfg);
-  for (StationId s = 0; s < gains.size(); ++s)
-    sim.set_mac(s, std::move(net.macs[s]));
-  sim.set_router(tables.router());
-
-  Rng traffic_rng(seed + 2);
-  for (const auto& inj : sim::poisson_traffic(
-           static_cast<double>(stations) * 4.0, 1.0, net.packet_bits,
-           sim::uniform_pairs(gains.size()), traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
-  sim.run_until(120.0);
+  runner::ScenarioSpec spec;
+  spec.stations = stations;
+  spec.region_m = region;
+  spec.net.max_power_w = spec.net.target_received_w * reach * reach;
+  spec.rate_pps = static_cast<double>(stations) * 4.0;
+  spec.duration_s = 1.0;
+  spec.drain_s = 119.0;
+  runner::Trial trial(spec, seed);
+  (void)trial.run();
+  const sim::Metrics& m = trial.simulator().metrics();
 
   Row r;
   r.stations = stations;
-  r.delivery = sim.metrics().delivery_ratio();
-  r.collisions = sim.metrics().total_hop_losses();
-  r.hops = sim.metrics().delivered() > 0 ? sim.metrics().hops().mean() : 0.0;
+  r.delivery = m.delivery_ratio();
+  r.collisions = m.total_hop_losses();
+  r.hops = m.delivered() > 0 ? m.hops().mean() : 0.0;
   r.snr_db_model = radio::nearest_neighbor_snr_db(stations, 0.3 * 0.7).value();
   return r;
 }

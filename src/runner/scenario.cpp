@@ -292,15 +292,4 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
   return Trial(spec, seed).run();
 }
 
-const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
-                               double packets_per_s, double duration_s,
-                               std::uint64_t traffic_seed, double drain_s) {
-  for (StationId s = 0; s < scenario.gains.size(); ++s)
-    sim.set_mac(s, std::move(scenario.net.macs[s]));
-  sim.set_router(scenario.tables.router());
-  inject_poisson(sim, scenario, packets_per_s, duration_s, Rng(traffic_seed));
-  sim.run_until(duration_s + drain_s);
-  return sim.metrics();
-}
-
 }  // namespace drn::runner

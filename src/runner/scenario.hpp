@@ -1,6 +1,9 @@
-// Declarative scenario assembly + single-trial execution: the one scenario
-// pipeline behind drn_sim, drn_sweep, the bench binaries and the end-to-end
-// tests.
+// Declarative scenario assembly + single-trial execution: Trial(spec, seed)
+// is the one scenario pipeline behind drn_sim, drn_sweep, the bench binaries
+// and the end-to-end tests. Its building blocks (make_scenario, install_macs,
+// make_baseline_mac, summarize) stay public for the few callers that need
+// what a spec cannot express — rewritten MACs, SimulatorConfig knobs, timed
+// set-up phases — and wire a simulator by hand.
 //
 // A trial is a pure function of (ScenarioSpec, seed): it builds a fresh
 // placement, propagation matrix, network and simulator, runs Poisson traffic
@@ -212,12 +215,5 @@ class Trial {
 /// arguments.
 [[nodiscard]] TrialResult run_trial(const ScenarioSpec& spec,
                                     std::uint64_t seed);
-
-/// Installs the scheme MACs + min-energy router and runs Poisson
-/// uniform-pair traffic; returns the metrics for inspection. (The historical
-/// bench/common.hpp helper, kept for the fig/tab binaries.)
-const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
-                               double packets_per_s, double duration_s,
-                               std::uint64_t traffic_seed, double drain_s = 60.0);
 
 }  // namespace drn::runner

@@ -1,6 +1,7 @@
-// End-to-end scenario assembly for the integration tests: the runner's
+// End-to-end scenarios for the integration tests: the runner's Trial
 // (placement -> propagation matrix -> scheduled network -> min-energy
-// routing, then Poisson traffic over the scheme), plus a scoped auditor.
+// routing -> MACs -> Poisson traffic), audited through ScenarioSpec::audit,
+// plus a scoped auditor for the tests that wire a simulator by hand.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,16 +14,41 @@
 
 namespace drn::testing {
 
+using runner::MacKind;
 using runner::Scenario;
+using runner::ScenarioSpec;
+using runner::Trial;
 using runner::make_scenario;
 using runner::multihop_config;
-using runner::run_scheme;
 using runner::scheme_criterion;
+
+/// An audited scheme trial's spec: `stations` in a `region_m` disc offered
+/// `rate_pps` of Poisson traffic for `duration_s`, then the default drain.
+inline ScenarioSpec audited_spec(std::size_t stations, double region_m,
+                                 double rate_pps, double duration_s) {
+  ScenarioSpec spec;
+  spec.stations = stations;
+  spec.region_m = region_m;
+  spec.rate_pps = rate_pps;
+  spec.duration_s = duration_s;
+  spec.audit = true;
+  return spec;
+}
+
+/// Runs `trial`, asserts that its auditor (ScenarioSpec::audit) checked
+/// something and found nothing, and returns the simulator's metrics.
+inline const sim::Metrics& run_audited(Trial& trial) {
+  const runner::TrialResult r = trial.run();
+  EXPECT_GT(r.audit_checks, 0u);
+  EXPECT_EQ(r.audit_violations, 0u);
+  return trial.simulator().metrics();
+}
 
 /// Rides an InvariantAuditor along on `sim` for the scope's lifetime and
 /// asserts a clean verdict (including the metrics cross-check) on
-/// destruction. Declare one right after constructing a Simulator; every
-/// integration test runs fully audited this way.
+/// destruction. Declare one right after constructing a Simulator by hand;
+/// every integration test runs fully audited, this way or through
+/// ScenarioSpec::audit.
 class ScopedAudit {
  public:
   explicit ScopedAudit(sim::Simulator& sim) : auditor_(sim), sim_(&sim) {

@@ -13,7 +13,9 @@ namespace {
 class CollisionFree : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {
-  auto scenario = make_scenario(40, 1000.0, GetParam(), multihop_config());
+  Trial trial(audited_spec(40, 1000.0, /*rate_pps=*/150.0, /*duration_s=*/2.0),
+              GetParam());
+  const Scenario& scenario = trial.scenario();
 
   // Fraction of ordered pairs the topology can route at all (random discs
   // leave some fringe stations disconnected at this reach).
@@ -25,12 +27,7 @@ TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {
   const double routable_fraction =
       static_cast<double>(routable) / static_cast<double>(n * (n - 1));
 
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sc.seed = GetParam();
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, /*packets_per_s=*/150.0,
-                             /*duration_s=*/2.0, /*traffic_seed=*/GetParam());
+  const auto& m = run_audited(trial);
 
   EXPECT_GT(m.offered(), 100u);
   EXPECT_EQ(m.losses(sim::LossType::kType2), 0u) << "seed " << GetParam();
@@ -51,13 +48,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CollisionFree,
 class ReceiveFractionSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ReceiveFractionSweep, CollisionFreedomHoldsAcrossDutyCycles) {
-  auto cfg = multihop_config();
-  cfg.receive_fraction = GetParam();
-  auto scenario = make_scenario(30, 900.0, 7, cfg);
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 100.0, 2.0, 7);
+  auto spec = audited_spec(30, 900.0, 100.0, 2.0);
+  spec.net.receive_fraction = GetParam();
+  Trial trial(spec, 7);
+  const auto& m = run_audited(trial);
   EXPECT_EQ(m.losses(sim::LossType::kType2), 0u) << "p " << GetParam();
   EXPECT_EQ(m.losses(sim::LossType::kType3), 0u) << "p " << GetParam();
   EXPECT_GT(m.delivered(), 0u);
@@ -70,15 +64,12 @@ TEST(CollisionFreeEdge, InsufficientGuardBreaksTheInvariant) {
   // Falsification control: with drifting clocks, noisy rendezvous and NO
   // guard, predictions miss receive windows and Type 3 losses reappear —
   // demonstrating the guard is load-bearing, not decorative.
-  auto cfg = multihop_config();
-  cfg.guard_fraction = 0.0;
-  cfg.rendezvous_noise_s = 2.0e-3;  // 20% of a slot: hopeless predictions
-  cfg.max_drift_ppm = 100.0;
-  auto scenario = make_scenario(30, 900.0, 13, cfg);
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 150.0, 2.0, 13);
+  auto spec = audited_spec(30, 900.0, 150.0, 2.0);
+  spec.net.guard_fraction = 0.0;
+  spec.net.rendezvous_noise_s = 2.0e-3;  // 20% of a slot: hopeless predictions
+  spec.net.max_drift_ppm = 100.0;
+  Trial trial(spec, 13);
+  const auto& m = run_audited(trial);
   EXPECT_GT(m.total_hop_losses(), 0u);
 }
 
@@ -144,11 +135,8 @@ TEST(CollisionFreeEdge, SingleTransmissionPerHop) {
   // "at each hop requires no per-packet transmissions other than the single
   // transmission used to convey the packet": hop attempts == hop successes
   // (+ nothing), and attempts == delivered packets' total hop count.
-  auto scenario = make_scenario(25, 800.0, 21, multihop_config());
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 100.0, 2.0, 21);
+  Trial trial(audited_spec(25, 800.0, 100.0, 2.0), 21);
+  const auto& m = run_audited(trial);
   EXPECT_EQ(m.hop_attempts(), m.hop_successes());
   const double total_hops = m.hops().sum();
   EXPECT_DOUBLE_EQ(static_cast<double>(m.hop_attempts()), total_hops);

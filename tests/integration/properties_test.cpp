@@ -136,11 +136,8 @@ TEST(SinrBookkeeping, MarginMatchesBruteForceForStaggeredOverlaps) {
 class Conservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Conservation, AttemptsEqualSuccessesPlusLosses) {
-  auto scenario = make_scenario(25, 800.0, GetParam(), multihop_config());
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 200.0, 1.5, GetParam(), 60.0);
+  Trial trial(audited_spec(25, 800.0, 200.0, 1.5), GetParam());
+  const auto& m = run_audited(trial);
   EXPECT_EQ(m.hop_attempts(), m.hop_successes() + m.total_hop_losses());
   EXPECT_EQ(m.delivered() + m.mac_drops(), m.offered());
 }
@@ -173,22 +170,6 @@ TEST(Conservation, HoldsForContendingBaselinesToo) {
   const auto& mm = sim.metrics();
   EXPECT_GT(mm.total_hop_losses(), 0u);
   EXPECT_EQ(mm.hop_attempts(), mm.hop_successes() + mm.total_hop_losses());
-}
-
-// ---------------------------------------------------------------------------
-// Whole-network determinism: identical seeds -> identical outcome summary.
-
-TEST(Determinism, FullScenarioIsBitReproducible) {
-  auto run = [] {
-    auto scenario = make_scenario(20, 700.0, 31, multihop_config());
-    sim::SimulatorConfig sc{scheme_criterion()};
-    sim::Simulator sim(scenario.gains, sc);
-    ScopedAudit audited(sim);
-    const auto& m = run_scheme(scenario, sim, 80.0, 1.0, 31, 30.0);
-    return std::tuple{m.offered(), m.delivered(), m.hop_attempts(),
-                      m.delivered() > 0 ? m.delay().mean() : 0.0};
-  };
-  EXPECT_EQ(run(), run());
 }
 
 }  // namespace

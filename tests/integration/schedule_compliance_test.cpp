@@ -5,10 +5,8 @@
 // the senders used.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "baselines/aloha.hpp"
 #include "helpers/scenario.hpp"
 #include "sim/observer.hpp"
 
@@ -63,14 +61,11 @@ class ScheduleCompliance : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ScheduleCompliance, EveryTransmissionHonoursBothSchedules) {
   // Fitted clock models + guards must still comply.
-  auto scenario = make_scenario(30, 900.0, GetParam(), multihop_config());
-
+  Trial trial(audited_spec(30, 900.0, 120.0, 2.0), GetParam());
+  const Scenario& scenario = trial.scenario();
   WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  sim.add_observer(&auditor);
-  (void)run_scheme(scenario, sim, 120.0, 2.0, GetParam());
+  trial.simulator().add_observer(&auditor);
+  (void)run_audited(trial);
 
   EXPECT_GT(auditor.transmissions(), 200u);
   EXPECT_EQ(auditor.sender_violations(), 0u) << "seed " << GetParam();
@@ -83,24 +78,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleCompliance,
 TEST(ScheduleCompliance, BaselinesDoViolateSchedules) {
   // Control: ALOHA transmits whenever it pleases, so against the same
   // schedules it racks up violations — the auditor is not vacuous.
-  auto scenario = make_scenario(30, 900.0, 13, multihop_config());
-
+  auto spec = audited_spec(30, 900.0, 120.0, 2.0);
+  spec.mac = MacKind::kAloha;
+  spec.baseline_max_retries = 16;  // a contention MAC's default budget
+  spec.drain_s = 28.0;              // run to t = 30 s
+  Trial trial(spec, 13);
+  const Scenario& scenario = trial.scenario();
   WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  sim.add_observer(&auditor);
-  baselines::ContentionConfig cc;
-  cc.power_w = 1.0e-4;
-  for (StationId s = 0; s < scenario.gains.size(); ++s)
-    sim.set_mac(s, std::make_unique<baselines::PureAloha>(cc));
-  sim.set_router(scenario.tables.router());
-  Rng rng(13);
-  for (const auto& inj : sim::poisson_traffic(
-           120.0, 2.0, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), rng))
-    sim.inject(inj.time_s, inj.packet);
-  sim.run_until(30.0);
+  trial.simulator().add_observer(&auditor);
+  (void)run_audited(trial);
   EXPECT_GT(auditor.sender_violations() + auditor.receiver_violations(), 0u);
 }
 

@@ -58,18 +58,43 @@ bool Flags::finish() const {
   return false;
 }
 
-bool check_stations(std::size_t stations) {
-  if (stations >= 1 && stations <= radio::kDenseMatrixGuardM) return true;
-  std::cerr << "--stations must be between 1 and "
-            << radio::kDenseMatrixGuardM
-            << " (the dense-matrix guard); got " << stations << '\n';
-  return false;
-}
-
-bool check_region(double region_m) {
-  if (region_m > 0.0) return true;
-  std::cerr << "--region must be > 0 m; got " << region_m << '\n';
-  return false;
+bool check_spec(const runner::ScenarioSpec& spec) {
+  if (spec.stations < 2 || spec.stations > radio::kDenseMatrixGuardM) {
+    std::cerr << "--stations must be between 2 and "
+              << radio::kDenseMatrixGuardM
+              << " (the dense-matrix guard); got " << spec.stations << '\n';
+    return false;
+  }
+  const core::ScheduledNetworkConfig& net = spec.net;
+  const double p = net.receive_fraction;
+  const struct {
+    const char* flag;
+    double value;
+    bool ok;
+    const char* rule;
+  } checks[] = {
+      {"region", spec.region_m, spec.region_m > 0.0, "> 0"},
+      {"rate", spec.rate_pps, spec.rate_pps > 0.0, "> 0"},
+      {"duration", spec.duration_s, spec.duration_s > 0.0, "> 0"},
+      {"drain", spec.drain_s, spec.drain_s >= 0.0, ">= 0"},
+      {"margin", spec.margin_db, spec.margin_db >= 0.0, ">= 0"},
+      {"bandwidth", spec.bandwidth_hz, spec.bandwidth_hz > 0.0, "> 0"},
+      {"data-rate", spec.data_rate_bps, spec.data_rate_bps > 0.0, "> 0"},
+      {"target-power", net.target_received_w, net.target_received_w > 0.0,
+       "> 0"},
+      {"max-power", net.max_power_w, net.max_power_w > 0.0, "> 0"},
+      {"slot", net.slot_s, net.slot_s > 0.0, "> 0"},
+      {"receive-fraction", p, p > 0.0 && p < 1.0, "in (0, 1)"},
+      {"breakpoint", spec.breakpoint_m,
+       !spec.dual_slope || spec.breakpoint_m > 0.0, "> 0 under --dual-slope 1"},
+  };
+  for (const auto& c : checks) {
+    if (c.ok) continue;
+    std::cerr << "--" << c.flag << " must be " << c.rule << "; got "
+              << c.value << '\n';
+    return false;
+  }
+  return true;
 }
 
 bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme) {

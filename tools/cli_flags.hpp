@@ -81,13 +81,11 @@ class Flags {
   bool help_ = false;
 };
 
-/// A station count a trial can build: 1 .. radio::kDenseMatrixGuardM.
-/// False (message printed) otherwise.
-bool check_stations(std::size_t stations);
-
-/// A disc radius a placement can use: > 0. False (message printed)
-/// otherwise.
-bool check_region(double region_m);
+/// A spec a trial can run without tripping a library contract: 2 ..
+/// radio::kDenseMatrixGuardM stations, a positive region, offer rate and
+/// window, a non-negative drain, and a radio design point and network config
+/// the builders accept. False (message naming the flag printed) otherwise.
+bool check_spec(const runner::ScenarioSpec& spec);
 
 /// The flags both CLIs share, applied to `spec` and validated: --engine,
 /// --cutoff, --cell (no wider than the cutoff in force), the dynamics flags

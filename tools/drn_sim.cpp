@@ -105,8 +105,7 @@ bool parse(cli::Flags& flags, Options& opt) {
       !flags.integer("trace-cap", opt.trace_cap) ||
       !flags.flag("json", opt.json) ||
       !cli::scenario_flags(flags, spec, spec.mac == runner::MacKind::kScheme) ||
-      !cli::check_stations(spec.stations) ||
-      !cli::check_region(spec.region_m))
+      !cli::check_spec(spec))
     return false;
   if (opt.trace_cap > 0 && opt.csv_trace.empty()) {
     std::cerr << "--trace-cap only bounds a trace being recorded; "

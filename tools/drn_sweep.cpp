@@ -144,10 +144,6 @@ bool parse(cli::Flags& flags, Options& opt) {
       !flags.parsed("mac", parse_mac_list, opt.spec.macs) ||
       !flags.parsed("rate", parse_axis, opt.spec.rates_pps))
     return false;
-  for (const std::size_t m : opt.spec.stations)
-    if (!cli::check_stations(m)) return false;
-  for (const double region_m : opt.spec.region_m)
-    if (!cli::check_region(region_m)) return false;
   const bool scheme_in_sweep =
       std::find(opt.spec.macs.begin(), opt.spec.macs.end(),
                 runner::MacKind::kScheme) != opt.spec.macs.end();
@@ -165,6 +161,9 @@ bool parse(cli::Flags& flags, Options& opt) {
     std::cerr << "--seeds must be >= 1\n";
     return false;
   }
+  for (const runner::SweepTrial& trial : runner::expand(opt.spec))
+    if (!cli::check_spec(runner::trial_scenario(opt.spec, trial)))
+      return false;
   return true;
 }
 
