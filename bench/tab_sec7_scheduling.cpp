@@ -120,14 +120,11 @@ void duty_cycle_sweep() {
     spec.duration_s = 3.0;
     spec.drain_s = 120.0;
     spec.net.receive_fraction = p;
-    drn::runner::Trial trial(spec, 99);
-    (void)trial.run();
-    // Duty over the offer window, not the whole run (TrialResult::mean_duty).
-    const auto& m = trial.simulator().metrics();
-    t.add_row({Table::num(p, 2), Table::num(m.delivered()),
-               Table::num(m.delay().mean() / spec.net.slot_s, 1),
-               Table::num(m.mean_duty_cycle(spec.duration_s), 3),
-               Table::num(m.total_hop_losses())});
+    const drn::runner::TrialResult r = drn::runner::run_trial(spec, 99);
+    t.add_row({Table::num(p, 2), Table::num(r.delivered),
+               Table::num(r.mean_delay_s / spec.net.slot_s, 1),
+               Table::num(r.mean_duty, 3),
+               Table::num(r.type1_losses + r.type2_losses + r.type3_losses)});
   }
   t.print(std::cout);
   std::cout << "\nLow p starves receivers (senders rarely find windows); high "

@@ -14,7 +14,6 @@
 
 #include "analysis/table.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace {
 
@@ -49,8 +48,7 @@ void network_run(std::size_t stations, double region, double rate,
   spec.duration_s = duration;
   spec.drain_s = 120.0;
 
-  const auto result =
-      runner::run_sweep(spec, runner::ThreadPool::hardware_jobs());
+  const auto result = runner::run_sweep(spec, 0);  // every hardware thread
 
   Table t({"MAC", "offered", "delivery", "T1", "T2", "T3", "tx/hop",
            "mean delay ms", "mean hops"});

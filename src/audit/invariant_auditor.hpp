@@ -12,10 +12,8 @@
 // from the Tx/Rx event stream alone, sharing no state or code path with the
 // physics it audits. It is O(active transmissions) per event and prunes its
 // history, so it can ride along on full-length sweeps. Wire it up with
-// Simulator::add_observer — a later Simulator::set_observer call (a trace,
-// say) only manages its own slot and cannot detach the auditor — run, then
-// finalize() and cross_check() against sim::Metrics; ok() reports the
-// verdict and report() the evidence.
+// Simulator::add_observer, run, then finalize() and cross_check() against
+// sim::Metrics; ok() reports the verdict and report() the evidence.
 #pragma once
 
 #include <array>

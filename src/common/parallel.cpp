@@ -34,7 +34,7 @@ std::size_t block_grain(std::size_t item_cost) {
 }
 
 void parallel_blocks(
-    std::size_t n, std::size_t grain,
+    std::size_t n, std::size_t grain, unsigned max_workers,
     const std::function<void(std::size_t lo, std::size_t hi)>& body) {
   DRN_EXPECTS(grain > 0);
   const std::size_t blocks = n / grain + (n % grain != 0 ? 1 : 0);
@@ -56,7 +56,8 @@ void parallel_blocks(
   const std::size_t participants =
       blocks <= 1 || on_parallel_worker()
           ? 1
-          : std::min<std::size_t>(hardware_threads(), blocks);
+          : std::min<std::size_t>(
+                max_workers == 0 ? hardware_threads() : max_workers, blocks);
   std::vector<std::thread> helpers;
   helpers.reserve(participants - 1);
   for (std::size_t t = 1; t < participants; ++t) {

@@ -1,20 +1,21 @@
-// Data-parallel loops for the O(M²) set-up stages (gain matrix, neighbour
-// scan, routing trees) — the one place outside runner/thread_pool.* that
-// starts threads (drn_lint's raw-thread rule).
+// Data-parallel loops: the O(M²) set-up stages (gain matrix, neighbour scan,
+// routing trees), the trials of a sweep and Figure 1's Monte-Carlo trials.
+// The one place that starts threads (drn_lint's raw-thread rule).
 //
-// parallel_blocks(n, grain, body) splits [0, n) into fixed blocks of `grain`
-// indices, lets up to hardware_threads() participants (the caller plus
-// helper threads) claim blocks through an atomic counter, and returns when
-// every block has run. The split and the order blocks are claimed in carry
-// no meaning: callers give each output element exactly one writing block and
-// compute it with the same pure function a serial loop would, so results are
-// bit-identical however the blocks land (DESIGN.md "Parallel set-up").
+// parallel_blocks(n, grain, max_workers, body) splits [0, n) into fixed
+// blocks of `grain` indices, lets up to max_workers participants (the caller
+// plus helper threads; 0 means hardware_threads()) claim blocks through an
+// atomic counter, and returns when every block has run. The split and the
+// order blocks are claimed in carry no meaning: callers give each output
+// element exactly one writing block and compute it with the same pure
+// function a serial loop would, so results are bit-identical however the
+// blocks land (DESIGN.md "Parallel set-up").
 //
 // A call runs every block inline on the calling thread when there is at most
-// one block, the machine has one hardware thread, or the caller is itself a
-// parallel worker: a parallel_blocks participant or a runner::ThreadPool
-// worker. Sweeps that already fan trials across cores therefore never
-// oversubscribe them.
+// one block, the cap (or the machine) allows one participant, or the caller
+// is itself a parallel worker: a participant of an enclosing parallel_blocks
+// call. Sweeps that already fan trials across cores therefore build each
+// trial's set-up inline and never oversubscribe them.
 #pragma once
 
 #include <cstddef>
@@ -47,11 +48,12 @@ class ParallelWorker {
 [[nodiscard]] std::size_t block_grain(std::size_t item_cost);
 
 /// Runs body(lo, hi) once for every block [lo, hi) of [0, n) cut every
-/// `grain` indices (grain > 0), possibly concurrently. Blocks must not share
-/// mutable state. Every block runs even if some throw; afterwards the
-/// exception of the lowest-indexed failing block is rethrown.
+/// `grain` indices (grain > 0), on at most `max_workers` threads at once
+/// (0 means hardware_threads()). Blocks must not share mutable state. Every
+/// block runs even if some throw; afterwards the exception of the
+/// lowest-indexed failing block is rethrown.
 void parallel_blocks(
-    std::size_t n, std::size_t grain,
+    std::size_t n, std::size_t grain, unsigned max_workers,
     const std::function<void(std::size_t lo, std::size_t hi)>& body);
 
 }  // namespace drn

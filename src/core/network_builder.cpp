@@ -54,7 +54,7 @@ ScheduledNetwork build_scheduled_network(
   // independent and draw nothing from `rng`, so they scan in parallel, each
   // station's neighbour list and worst power written by one block.
   std::vector<double> worst_power(m, 0.0);
-  parallel_blocks(m, block_grain(m), [&](std::size_t lo, std::size_t hi) {
+  parallel_blocks(m, block_grain(m), 0, [&](std::size_t lo, std::size_t hi) {
     for (auto i = static_cast<StationId>(lo); i < hi; ++i) {
       for (StationId j = 0; j < m; ++j) {
         if (i == j || !is_neighbor(i, j)) continue;

@@ -40,7 +40,7 @@ PropagationMatrix PropagationMatrix::build(const PropagationMatrix* prefix,
   // (one model call per pair, i < j, as a serial double loop makes it, or a
   // copy of the prefix's entry when both stations are in it), then the lower
   // triangle copied from the finished upper one.
-  parallel_blocks(n, block_grain(n), [&](std::size_t lo, std::size_t hi) {
+  parallel_blocks(n, block_grain(n), 0, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       std::size_t j = i + 1;
       for (; j < known; ++j) gains[i * n + j] = prefix->gains_[i * known + j];
@@ -48,7 +48,7 @@ PropagationMatrix PropagationMatrix::build(const PropagationMatrix* prefix,
         gains[i * n + j] = model.power_gain(placement[i], placement[j]).value();
     }
   });
-  parallel_blocks(n, block_grain(n), [&](std::size_t lo, std::size_t hi) {
+  parallel_blocks(n, block_grain(n), 0, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i)
       for (std::size_t j = 0; j < i; ++j) gains[i * n + j] = gains[j * n + i];
   });

@@ -213,7 +213,7 @@ RoutingTables RoutingTables::build(const Graph& graph) {
   // so each tree is written straight into row dst. Trees are independent:
   // blocks of destinations build in parallel, each with its own kernel
   // scratch, and only the block owning dst writes row dst.
-  parallel_blocks(m, block_grain(m), [&](std::size_t lo, std::size_t hi) {
+  parallel_blocks(m, block_grain(m), 0, [&](std::size_t lo, std::size_t hi) {
     Kernel kernel(m);
     std::vector<double> cost(m);
     for (std::size_t dst = lo; dst < hi; ++dst)

@@ -128,7 +128,7 @@ Scenario make_scenario(std::size_t stations, double region_m,
                   std::move(tables)};
 }
 
-TrialResult summarize(const sim::Metrics& m, double total_duration_s) {
+TrialResult summarize(const sim::Metrics& m, double duty_window_s) {
   TrialResult r;
   r.offered = m.offered();
   r.delivered = m.delivered();
@@ -145,7 +145,7 @@ TrialResult summarize(const sim::Metrics& m, double total_duration_s) {
                      ? static_cast<double>(m.hop_attempts()) /
                            static_cast<double>(m.hop_successes())
                      : 0.0;
-  r.mean_duty = m.mean_duty_cycle(total_duration_s);
+  r.mean_duty = m.mean_duty_cycle(duty_window_s);
   r.aborted_losses = m.losses(sim::LossType::kAborted);
   r.station_leaves = m.station_leaves();
   r.station_joins = m.station_joins();
@@ -269,7 +269,9 @@ TrialResult Trial::run() {
   } else {
     sim_->run_until(total);
   }
-  TrialResult result = summarize(sim_->metrics(), total);
+  // Duty is airtime over the offer window: the drain only empties queues,
+  // so counting it would make mean_duty measure the drain's length.
+  TrialResult result = summarize(sim_->metrics(), spec_.duration_s);
   const auto qs = sim_->queue_stats();
   result.events_processed = qs.events_processed;
   result.peak_queue_bytes = qs.peak_bytes;

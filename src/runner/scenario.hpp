@@ -147,7 +147,7 @@ struct TrialResult {
   double mean_delay_s = 0.0;  // 0 when nothing delivered
   double mean_hops = 0.0;     // 0 when nothing delivered
   double tx_per_hop = 0.0;    // attempts / successes; 1.0 = no waste
-  double mean_duty = 0.0;     // mean transmit duty cycle
+  double mean_duty = 0.0;     // mean transmit duty over the offer window
   /// Invariant-audit verdict; both stay 0 unless ScenarioSpec::audit is set.
   std::uint64_t audit_checks = 0;
   std::uint64_t audit_violations = 0;
@@ -169,9 +169,10 @@ struct TrialResult {
   std::uint64_t peak_queue_bytes = 0;
 };
 
-/// Extracts a TrialResult from a finished simulator's metrics.
+/// Extracts a TrialResult from a finished simulator's metrics; mean_duty is
+/// each station's airtime over `duty_window_s`, averaged over stations.
 [[nodiscard]] TrialResult summarize(const sim::Metrics& m,
-                                    double total_duration_s);
+                                    double duty_window_s);
 
 /// Installs the spec's MAC at every station of `scenario` into `sim`.
 /// Consumes scenario.net.macs for MacKind::kScheme.

@@ -4,8 +4,8 @@
 #include <chrono>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 #include "runner/json.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace drn::runner {
 
@@ -49,19 +49,22 @@ SweepResult run_sweep(
     const SweepSpec& spec, unsigned jobs,
     const std::function<void(std::size_t, std::size_t)>& progress) {
   SweepResult out;
-  out.jobs = jobs == 0 ? ThreadPool::hardware_jobs() : jobs;
+  out.jobs = jobs == 0 ? hardware_threads() : jobs;
   out.trials = expand(spec);
   out.results.resize(out.trials.size());
 
   const auto t0 = std::chrono::steady_clock::now();
   std::atomic<std::size_t> done{0};
-  ThreadPool pool(out.jobs);
-  parallel_for(pool, out.trials.size(), [&](std::size_t i) {
-    const SweepTrial& trial = out.trials[i];
-    out.results[i] = run_trial(trial_scenario(spec, trial), trial.seed);
-    const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (progress) progress(d, out.trials.size());
-  });
+  // One trial per block; its participants are parallel workers, so each
+  // trial's set-up runs inline on the thread that runs the trial.
+  parallel_blocks(
+      out.trials.size(), 1, out.jobs, [&](std::size_t i, std::size_t) {
+        const SweepTrial& trial = out.trials[i];
+        out.results[i] = run_trial(trial_scenario(spec, trial), trial.seed);
+        const std::size_t d =
+            done.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (progress) progress(d, out.trials.size());
+      });
   out.wall_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
                    .count();

@@ -1,6 +1,6 @@
 // Declarative experiment sweeps: the cross-product of parameter axes ×
-// seed replicates, fanned across a ThreadPool, aggregated per parameter
-// point, and serialisable as JSON.
+// seed replicates, fanned across worker threads (drn::parallel_blocks, one
+// trial per block), aggregated per parameter point, and serialisable as JSON.
 //
 // Determinism contract: trial i's RNG is Rng(master_seed).split(i) — a pure
 // function of (master_seed, i), independent of which worker runs the trial
@@ -107,9 +107,10 @@ struct SweepResult {
   }
 };
 
-/// Runs every trial of the sweep across `jobs` worker threads. `progress`
-/// (optional) is called after each trial completes with (done, total); it
-/// may run on any worker thread.
+/// Runs every trial of the sweep on at most `jobs` threads, the caller's
+/// among them (0 means drn::hardware_threads()). `progress` (optional) is
+/// called after each trial completes with (done, total); it may run on any
+/// of those threads.
 [[nodiscard]] SweepResult run_sweep(
     const SweepSpec& spec, unsigned jobs,
     const std::function<void(std::size_t, std::size_t)>& progress = {});

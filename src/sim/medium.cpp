@@ -39,15 +39,6 @@ void RadioMedium::schedule_data(StationId from, const Packet& pkt,
   DRN_EXPECTS(rate_bps >= 0.0);
   DRN_EXPECTS(start_s >= now_s);
   DRN_EXPECTS(pkt.size_bits > 0.0);
-  // One transmitter per station: transmissions must be serialized by the
-  // MAC. A sub-nanosecond shortfall is floating-point noise from computing
-  // the same instant two ways (e.g. 0.01*i vs a running sum of 0.01) and is
-  // clamped rather than rejected.
-  if (start_s < tx_busy_until_s_[from] &&
-      tx_busy_until_s_[from] - start_s < 1e-9) {
-    start_s = tx_busy_until_s_[from];
-  }
-  DRN_EXPECTS(start_s >= tx_busy_until_s_[from]);
 
   ActiveTx tx;
   tx.packet = pkt;
@@ -57,17 +48,12 @@ void RadioMedium::schedule_data(StationId from, const Packet& pkt,
   tx.rate_bps =
       rate_bps > 0.0 ? rate_bps : config_.criterion.data_rate_bps();
   tx.start_s = start_s;
-  tx.end_s = start_s + pkt.size_bits / tx.rate_bps;
   tx.required_snr =
       (config_.criterion.margin().to_linear() *
        radio::snr_for_rate_fraction(tx.rate_bps /
                                     config_.criterion.bandwidth_hz()))
           .value();
-  tx_busy_until_s_[from] = tx.end_s;
-
-  const std::uint64_t id = next_tx_id_++;
-  ActiveTx& slot = scheduled_.insert(id, tx);
-  schedule_tx_events(id, slot);
+  book(tx, pkt.size_bits / tx.rate_bps);
 }
 
 void RadioMedium::schedule_noise(StationId from, double power_w,
@@ -76,13 +62,6 @@ void RadioMedium::schedule_noise(StationId from, double power_w,
   DRN_EXPECTS(power_w > 0.0);
   DRN_EXPECTS(duration_s > 0.0);
   DRN_EXPECTS(start_s >= now_s);
-  // Noise uses the one transmitter too; same serialization (and the same
-  // sub-nanosecond clamp) as data transmissions.
-  if (start_s < tx_busy_until_s_[from] &&
-      tx_busy_until_s_[from] - start_s < 1e-9) {
-    start_s = tx_busy_until_s_[from];
-  }
-  DRN_EXPECTS(start_s >= tx_busy_until_s_[from]);
 
   ActiveTx tx;
   tx.from = from;
@@ -90,27 +69,36 @@ void RadioMedium::schedule_noise(StationId from, double power_w,
   tx.power_w = power_w;
   tx.rate_bps = 0.0;
   tx.start_s = start_s;
-  tx.end_s = start_s + duration_s;
   tx.required_snr = 0.0;
-  tx_busy_until_s_[from] = tx.end_s;
-
-  const std::uint64_t id = next_tx_id_++;
-  ActiveTx& slot = scheduled_.insert(id, tx);
-  schedule_tx_events(id, slot);
+  book(tx, duration_s);
 }
 
-void RadioMedium::schedule_tx_events(std::uint64_t tx_id, ActiveTx& tx) {
+void RadioMedium::book(ActiveTx tx, double duration_s) {
+  // One transmitter per station (noise bursts included): transmissions must
+  // be serialized by the MAC. A sub-nanosecond shortfall is floating-point
+  // noise from computing the same instant two ways (e.g. 0.01*i vs a running
+  // sum of 0.01) and is clamped rather than rejected.
+  double& busy_until_s = tx_busy_until_s_[tx.from];
+  if (tx.start_s < busy_until_s && busy_until_s - tx.start_s < 1e-9)
+    tx.start_s = busy_until_s;
+  DRN_EXPECTS(tx.start_s >= busy_until_s);
+  tx.end_s = tx.start_s + duration_s;
+  busy_until_s = tx.end_s;
+
+  const std::uint64_t tx_id = next_tx_id_++;
+  ActiveTx& slot = scheduled_.insert(tx_id, tx);
+
   Event start;
-  start.time_s = tx.start_s;
+  start.time_s = slot.start_s;
   start.kind = EventKind::kTransmitStart;
   start.tx_id = tx_id;
-  tx.start_ev = queue_.push(start);
+  slot.start_ev = queue_.push(start);
 
   Event end;
-  end.time_s = tx.end_s;
+  end.time_s = slot.end_s;
   end.kind = EventKind::kTransmitEnd;
   end.tx_id = tx_id;
-  tx.end_ev = queue_.push(end);
+  slot.end_ev = queue_.push(end);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,15 +204,7 @@ void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
   ++transmitting_count_[tx.from];
 
   if (!observers_.empty()) {
-    TxEvent ev;
-    ev.tx_id = tx_id;
-    ev.from = tx.from;
-    ev.to = tx.to;
-    ev.power_w = tx.power_w;
-    ev.start_s = tx.start_s;
-    ev.end_s = tx.end_s;
-    ev.rate_bps = tx.rate_bps;
-    ev.packet = tx.packet.id;
+    const TxEvent ev = tx_event(tx_id, tx);
     for (SimObserver* o : observers_) o->on_transmit_start(ev);
   }
 
@@ -262,16 +242,28 @@ void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
   }
 }
 
-void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
-  const ActiveTx tx = active_.extract(tx_id);
+TxEvent RadioMedium::tx_event(std::uint64_t tx_id, const ActiveTx& tx) {
+  TxEvent ev;
+  ev.tx_id = tx_id;
+  ev.from = tx.from;
+  ev.to = tx.to;
+  ev.power_w = tx.power_w;
+  ev.start_s = tx.start_s;
+  ev.end_s = tx.end_s;
+  ev.rate_bps = tx.rate_bps;
+  ev.packet = tx.packet.id;
+  return ev;
+}
+
+void RadioMedium::leave_air(std::uint64_t tx_id, const ActiveTx& tx) {
   --transmitting_count_[tx.from];
   if (tx.to < station_count()) --addressed_count_[tx.to];
 
-  // The signal leaves the air: the engine lowers everyone else's
-  // interference (receptions at the sender's own station never had this
-  // contribution added — they die via Type 3 — and the engine skips them
-  // symmetrically). Interference only drops here, so min_sinr cannot move;
-  // the notification is only needed to retire tracked contributions.
+  // The engine lowers everyone else's interference (receptions at the
+  // sender's own station never had this contribution added — they die via
+  // Type 3 — and the engine skips them symmetrically). Interference only
+  // drops here, so min_sinr cannot move; the notification is only needed to
+  // retire tracked contributions.
   radio::InterferenceEngine::AffectedVisitor on_affected;
   if (config_.multiuser_subtract_k > 0) {
     on_affected = [this, tx_id](radio::ReceptionHandle h,
@@ -280,6 +272,30 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
     };
   }
   engine_->transmit_ended(tx_id, on_affected);
+}
+
+void RadioMedium::retire_reception(std::uint64_t tx_id, const Reception& r) {
+  engine_->close_reception(r.handle);
+  by_handle_[r.handle] = nullptr;
+  if (r.occupies_channel) --reception_count_[r.rx];
+  --open_rx_count_[r.rx];
+
+  if (!observers_.empty()) {
+    RxEvent ev;
+    ev.tx_id = tx_id;
+    ev.rx = r.rx;
+    ev.delivered = r.failure == LossType::kNone;
+    ev.loss = r.failure;
+    ev.min_sinr = r.min_sinr;
+    ev.required_snr = r.required_snr;
+    ev.signal_w = r.signal_w;
+    for (SimObserver* o : observers_) o->on_reception_complete(ev);
+  }
+}
+
+void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
+  const ActiveTx tx = active_.extract(tx_id);
+  leave_air(tx_id, tx);
 
   if (tx.to == kNoStation) {
     // Noise burst: nothing was receivable; just tell the emitter.
@@ -290,25 +306,10 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
   auto rnode = receptions_.extract(tx_id);
   DRN_EXPECTS(!rnode.empty());
   bool any_delivered = false;
-  for (Reception& r : rnode.mapped()) {
-    engine_->close_reception(r.handle);
-    by_handle_[r.handle] = nullptr;
-    if (r.occupies_channel) --reception_count_[r.rx];
-    --open_rx_count_[r.rx];
+  for (const Reception& r : rnode.mapped()) {
+    retire_reception(tx_id, r);
     const bool delivered = r.failure == LossType::kNone;
     any_delivered |= delivered;
-
-    if (!observers_.empty()) {
-      RxEvent ev;
-      ev.tx_id = tx_id;
-      ev.rx = r.rx;
-      ev.delivered = delivered;
-      ev.loss = r.failure;
-      ev.min_sinr = r.min_sinr;
-      ev.required_snr = r.required_snr;
-      ev.signal_w = r.signal_w;
-      for (SimObserver* o : observers_) o->on_reception_complete(ev);
-    }
 
     if (tx.to == kBroadcast) {
       if (delivered) {
@@ -335,8 +336,6 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
 
 void RadioMedium::abort_transmission(std::uint64_t tx_id, double now_s) {
   const ActiveTx tx = active_.extract(tx_id);
-  --transmitting_count_[tx.from];
-  if (tx.to < station_count()) --addressed_count_[tx.to];
   // Airtime was booked for the full planned duration at start; give back the
   // part that never aired.
   metrics_.trim_airtime(tx.from, tx.end_s - now_s);
@@ -346,53 +345,22 @@ void RadioMedium::abort_transmission(std::uint64_t tx_id, double now_s) {
   // Observers first (the auditor truncates its record of this transmission
   // to now before the aborted RxEvents below arrive).
   if (!observers_.empty()) {
-    TxEvent ev;
-    ev.tx_id = tx_id;
-    ev.from = tx.from;
-    ev.to = tx.to;
-    ev.power_w = tx.power_w;
-    ev.start_s = tx.start_s;
-    ev.end_s = tx.end_s;
-    ev.rate_bps = tx.rate_bps;
-    ev.packet = tx.packet.id;
+    const TxEvent ev = tx_event(tx_id, tx);
     for (SimObserver* o : observers_) o->on_transmit_aborted(ev, now_s);
   }
 
   // The signal leaves the air early; interference drops exactly as at a
   // normal end, through the same engine path (no ad-hoc subtraction).
-  radio::InterferenceEngine::AffectedVisitor on_affected;
-  if (config_.multiuser_subtract_k > 0) {
-    on_affected = [this, tx_id](radio::ReceptionHandle h,
-                                radio::Watts /*watts*/) {
-      reception_at(h).contributions.erase(tx_id);
-    };
-  }
-  engine_->transmit_ended(tx_id, on_affected);
+  leave_air(tx_id, tx);
 
   if (tx.to == kNoStation) return;  // noise: no reception records
 
   auto rnode = receptions_.extract(tx_id);
   DRN_EXPECTS(!rnode.empty());
   for (Reception& r : rnode.mapped()) {
-    engine_->close_reception(r.handle);
-    by_handle_[r.handle] = nullptr;
-    if (r.occupies_channel) --reception_count_[r.rx];
-    --open_rx_count_[r.rx];
     // A truncated packet is undecodable regardless of its SINR so far.
     if (r.failure == LossType::kNone) r.failure = LossType::kAborted;
-
-    if (!observers_.empty()) {
-      RxEvent ev;
-      ev.tx_id = tx_id;
-      ev.rx = r.rx;
-      ev.delivered = false;
-      ev.loss = r.failure;
-      ev.min_sinr = r.min_sinr;
-      ev.required_snr = r.required_snr;
-      ev.signal_w = r.signal_w;
-      for (SimObserver* o : observers_) o->on_reception_complete(ev);
-    }
-
+    retire_reception(tx_id, r);
     if (tx.to != kBroadcast) metrics_.record_hop_loss(r.failure);
   }
   // No completion upcall: the sender's MAC is being torn down right now.

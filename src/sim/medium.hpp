@@ -277,10 +277,24 @@ class RadioMedium {
   /// kAborted outcomes, and cancels its pending end event.
   void abort_transmission(std::uint64_t tx_id, double now_s);
 
-  /// Books the start/end queue entries for a freshly scheduled transmission
-  /// and stores their handles on the ActiveTx (shared tail of schedule_data
-  /// and schedule_noise).
-  void schedule_tx_events(std::uint64_t tx_id, ActiveTx& tx);
+  /// Shared tail of schedule_data and schedule_noise: serializes `tx` behind
+  /// its sender's previous transmission, ends it `duration_s` after its
+  /// start, and books it with its start/end queue entries.
+  void book(ActiveTx tx, double duration_s);
+
+  /// The observer-facing facts of transmission `tx_id`.
+  [[nodiscard]] static TxEvent tx_event(std::uint64_t tx_id,
+                                        const ActiveTx& tx);
+
+  /// Takes `tx` (just extracted from active_) off the air: the per-station
+  /// counters drop and the engine removes its interference, retiring the
+  /// tracked multiuser contributions it made.
+  void leave_air(std::uint64_t tx_id, const ActiveTx& tx);
+
+  /// Closes reception `r` of transmission `tx_id` at its final outcome:
+  /// frees its engine handle, despreading channel and open-rx count, then
+  /// reports the RxEvent to observers.
+  void retire_reception(std::uint64_t tx_id, const Reception& r);
 
   /// Opens the reception record for `tx` at receiver `rx` (admission rules:
   /// not transmitting, free despreading channel, initial SINR) and registers

@@ -5,22 +5,26 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/expects.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace drn {
 namespace {
+
+// Cap for the tests that run blocks, so none starts more than a few threads.
+constexpr unsigned kWorkers = 4;
 
 // Every index in exactly one block, blocks cut every `grain` indices.
 void expect_exact_cover(std::size_t n, std::size_t grain) {
   std::vector<int> visits(n, 0);
   std::vector<int> bad_blocks(n / grain + 1, 0);
-  parallel_blocks(n, grain, [&](std::size_t lo, std::size_t hi) {
+  parallel_blocks(n, grain, kWorkers, [&](std::size_t lo, std::size_t hi) {
     if (lo % grain != 0 || hi != std::min(n, lo + grain) || lo >= hi)
       ++bad_blocks[lo / grain];
     for (std::size_t i = lo; i < hi; ++i) ++visits[i];
@@ -43,11 +47,11 @@ TEST(ParallelBlocks, VisitsEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelBlocks, EmptyRangeNeverCallsTheBody) {
-  parallel_blocks(0, 3, [](std::size_t, std::size_t) { FAIL(); });
+  parallel_blocks(0, 3, 0, [](std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST(ParallelBlocks, ZeroGrainIsAContractViolation) {
-  EXPECT_THROW(parallel_blocks(4, 0, [](std::size_t, std::size_t) {}),
+  EXPECT_THROW(parallel_blocks(4, 0, 0, [](std::size_t, std::size_t) {}),
                ContractViolation);
 }
 
@@ -55,12 +59,13 @@ TEST(ParallelBlocks, RethrowsTheLowestFailingBlockAfterAllBlocksRan) {
   constexpr std::size_t kBlocks = 64;
   std::atomic<std::size_t> ran{0};
   try {
-    parallel_blocks(kBlocks * 4, 4, [&](std::size_t lo, std::size_t) {
-      ++ran;
-      const std::size_t block = lo / 4;
-      if (block == 9 || block == 23 || block == 60)
-        throw std::runtime_error(std::to_string(block));
-    });
+    parallel_blocks(kBlocks * 4, 4, kWorkers,
+                    [&](std::size_t lo, std::size_t) {
+                      ++ran;
+                      const std::size_t block = lo / 4;
+                      if (block == 9 || block == 23 || block == 60)
+                        throw std::runtime_error(std::to_string(block));
+                    });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "9");
@@ -68,33 +73,40 @@ TEST(ParallelBlocks, RethrowsTheLowestFailingBlockAfterAllBlocksRan) {
   EXPECT_EQ(ran.load(), kBlocks);
 }
 
-TEST(ParallelBlocks, RunsInlineInsideAThreadPoolTask) {
-  runner::ThreadPool pool(2);
-  std::thread::id task_thread;
+TEST(ParallelBlocks, OneWorkerRunsEveryBlockOnTheCallerAsAWorker) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> block_threads(50);
-  bool flagged = false;
-  pool.submit([&] {
-        task_thread = std::this_thread::get_id();
-        flagged = on_parallel_worker();
-        parallel_blocks(block_threads.size(), 1,
-                        [&](std::size_t lo, std::size_t) {
-                          block_threads[lo] = std::this_thread::get_id();
-                        });
-      })
-      .get();
-  EXPECT_TRUE(flagged);
-  for (const std::thread::id& id : block_threads) EXPECT_EQ(id, task_thread);
+  std::vector<int> flagged(block_threads.size(), 0);
+  parallel_blocks(block_threads.size(), 1, 1,
+                  [&](std::size_t lo, std::size_t) {
+                    block_threads[lo] = std::this_thread::get_id();
+                    flagged[lo] = on_parallel_worker() ? 1 : 0;
+                  });
+  for (const std::thread::id& id : block_threads) EXPECT_EQ(id, caller);
+  EXPECT_TRUE(std::all_of(flagged.begin(), flagged.end(),
+                          [](int f) { return f == 1; }));
+  EXPECT_FALSE(on_parallel_worker());
 }
 
-TEST(ParallelBlocks, RunsInlineInsideANestedCall) {
+TEST(ParallelBlocks, TheCapBoundsTheThreadsUsed) {
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  parallel_blocks(64, 1, 2, [&](std::size_t, std::size_t) {
+    const std::lock_guard lock(mutex);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_LE(threads.size(), 2u);
+}
+
+TEST(ParallelBlocks, NestedCallsInsideACappedCallRunInline) {
   constexpr std::size_t kOuter = 8;
   constexpr std::size_t kInner = 40;
   std::vector<std::thread::id> outer_threads(kOuter);
   std::vector<std::vector<std::thread::id>> inner_threads(
       kOuter, std::vector<std::thread::id>(kInner));
-  parallel_blocks(kOuter, 1, [&](std::size_t outer, std::size_t) {
+  parallel_blocks(kOuter, 1, 2, [&](std::size_t outer, std::size_t) {
     outer_threads[outer] = std::this_thread::get_id();
-    parallel_blocks(kInner, 1, [&](std::size_t inner, std::size_t) {
+    parallel_blocks(kInner, 1, 0, [&](std::size_t inner, std::size_t) {
       inner_threads[outer][inner] = std::this_thread::get_id();
     });
   });
@@ -106,9 +118,10 @@ TEST(ParallelBlocks, RunsInlineInsideANestedCall) {
 TEST(ParallelBlocks, TheCallerIsAWorkerOnlyWhileItRunsBlocks) {
   EXPECT_FALSE(on_parallel_worker());
   std::vector<int> flagged(16, 0);
-  parallel_blocks(flagged.size(), 1, [&](std::size_t lo, std::size_t) {
-    flagged[lo] = on_parallel_worker() ? 1 : 0;
-  });
+  parallel_blocks(flagged.size(), 1, kWorkers,
+                  [&](std::size_t lo, std::size_t) {
+                    flagged[lo] = on_parallel_worker() ? 1 : 0;
+                  });
   EXPECT_TRUE(std::all_of(flagged.begin(), flagged.end(),
                           [](int f) { return f == 1; }));
   EXPECT_FALSE(on_parallel_worker());
@@ -135,10 +148,7 @@ TEST(BlockGrain, AimsAtAFixedStepCountPerBlock) {
   EXPECT_EQ(block_grain(std::size_t{1} << 20), 1u);
 }
 
-TEST(HardwareThreads, AtLeastOneAndSharedWithThePool) {
-  EXPECT_GE(hardware_threads(), 1u);
-  EXPECT_EQ(runner::ThreadPool::hardware_jobs(), hardware_threads());
-}
+TEST(HardwareThreads, AtLeastOne) { EXPECT_GE(hardware_threads(), 1u); }
 
 }  // namespace
 }  // namespace drn

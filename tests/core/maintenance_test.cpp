@@ -146,7 +146,7 @@ TEST(Maintenance, BeaconRespectsOwnScheduleWindows) {
   auto pair = make_pair(/*beacon_interval_s=*/0.3);
   const Schedule schedule(2021, kSlot, 0.3);
   Auditor auditor(schedule, pair->c0, pair->c1);
-  pair->sim->set_observer(&auditor);
+  pair->sim->add_observer(&auditor);
   pair->sim->inject(0.0, packet(0, 1));
   pair->sim->run_until(30.0);
   EXPECT_GT(auditor.beacons_, 50u);

@@ -47,6 +47,18 @@ TEST(Trial, ObserversLeaveTheResultUnchanged) {
   expect_same_outcome(observed, run_trial(spec, 5));
 }
 
+TEST(Trial, MeanDutyIsTakenOverTheOfferWindowNotTheDrain) {
+  ScenarioSpec spec = small_spec();
+  spec.drain_s = 10.0;
+  const TrialResult short_drain = run_trial(spec, 7);
+  spec.drain_s = 60.0;
+  const TrialResult long_drain = run_trial(spec, 7);
+  EXPECT_GT(short_drain.delivered, 0u);
+  expect_same_outcome(short_drain, long_drain);
+  EXPECT_GT(short_drain.mean_duty, 0.0);
+  EXPECT_EQ(short_drain.mean_duty, long_drain.mean_duty);
+}
+
 TEST(Trial, NearFarMobilityMovesStationsAndStaysAuditClean) {
   ScenarioSpec spec = small_spec();
   spec.engine = radio::InterferenceEngineKind::kNearFar;

@@ -78,6 +78,7 @@ bool check_spec(const runner::ScenarioSpec& spec) {
       {"duration", spec.duration_s, spec.duration_s > 0.0, "> 0"},
       {"drain", spec.drain_s, spec.drain_s >= 0.0, ">= 0"},
       {"margin", spec.margin_db, spec.margin_db >= 0.0, ">= 0"},
+      {"shadowing", spec.shadowing_db, spec.shadowing_db >= 0.0, ">= 0"},
       {"bandwidth", spec.bandwidth_hz, spec.bandwidth_hz > 0.0, "> 0"},
       {"data-rate", spec.data_rate_bps, spec.data_rate_bps > 0.0, "> 0"},
       {"target-power", net.target_received_w, net.target_received_w > 0.0,

@@ -60,12 +60,12 @@ depends on, none of which clang-tidy checks:
                   the physical layer stays studyable with any MAC swapped
                   in above it.
   raw-thread      no std::thread, std::jthread or std::async in library
-                  code under src/ outside common/parallel.* and
-                  runner/thread_pool.*: threads start in exactly those two
-                  places, which share one worker count and the
-                  inline-when-nested rule, so no stage oversubscribes the
-                  cores or races outside the one-writer-per-element
-                  discipline (DESIGN.md "Parallel set-up").
+                  code under src/ outside common/parallel.*: threads start
+                  only in drn::parallel_blocks, whose worker cap and
+                  inline-when-nested rule keep any stage from
+                  oversubscribing the cores or racing outside the
+                  one-writer-per-element discipline (DESIGN.md "Parallel
+                  set-up").
 
 Suppress a finding by appending `// drn-lint: allow(<rule>)` to the line,
 which is a grep-able record that a human judged the exception sound. The
@@ -173,7 +173,7 @@ RAW_EVENT_COPY = re.compile(r"\b(?:sim::)?Event\s+\w+")
 
 RAW_THREAD = re.compile(r"\bstd::(?:thread|jthread|async)\b")
 # The only library files allowed to start threads: (module, stem) pairs.
-RAW_THREAD_EXEMPT = (("common", "parallel"), ("runner", "thread_pool"))
+RAW_THREAD_EXEMPT = (("common", "parallel"),)
 
 # Quoted project includes, for the layer-boundary rule. System includes
 # (<...>) can never name a project layer.
@@ -395,9 +395,8 @@ def lint_file(path: pathlib.Path, repo: pathlib.Path,
             report(
                 lineno,
                 "raw-thread",
-                "threads start only in common/parallel.* and "
-                "runner/thread_pool.*; use drn::parallel_blocks or a "
-                "runner::ThreadPool",
+                "threads start only in common/parallel.*; use "
+                "drn::parallel_blocks",
             )
         if in_library and not allowed(raw, "layer-boundary"):
             # The include path IS a string literal, so search the comment-
