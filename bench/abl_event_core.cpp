@@ -18,10 +18,9 @@
 //
 // Emits BENCH_core.json (schema drn-bench-core-v1).
 //
-//   bench_abl_event_core [--smoke] [--out PATH] [--jobs N]
+//   bench_abl_event_core [--smoke] [--out PATH]
 //
-// --jobs is accepted for CLI parity with the other benches but ignored:
-// parallel cells would corrupt each other's wall times.
+// Cells run serially: parallel cells would corrupt each other's wall times.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -167,11 +166,8 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      ++i;  // accepted, unused: cells must run serially for honest timing
     } else {
-      std::cerr << "usage: bench_abl_event_core [--smoke] [--out PATH] "
-                   "[--jobs N]\n";
+      std::cerr << "usage: bench_abl_event_core [--smoke] [--out PATH]\n";
       return 2;
     }
   }

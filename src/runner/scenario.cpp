@@ -114,13 +114,14 @@ void inject_poisson(sim::Simulator& sim, const Scenario& scenario,
 Scenario make_scenario(std::size_t stations, double region_m,
                        std::uint64_t seed,
                        core::ScheduledNetworkConfig net_cfg,
-                       const radio::PropagationModel& model) {
+                       const radio::PropagationModel& model,
+                       const radio::ReceptionCriterion& criterion) {
   Rng rng(seed);
   auto placement = geo::uniform_disc(stations, region_m, rng);
   auto gains = radio::make_dense_gains(placement, model);
   Rng build_rng = rng.split(1);
   auto net =
-      core::build_scheduled_network(gains, scheme_criterion(), net_cfg, build_rng);
+      core::build_scheduled_network(gains, criterion, net_cfg, build_rng);
   const auto graph = routing::Graph::min_energy(
       gains, net_cfg.target_received_w / net_cfg.max_power_w);
   auto tables = routing::RoutingTables::build(graph);
@@ -204,7 +205,7 @@ Trial::Trial(const ScenarioSpec& spec, std::uint64_t seed)
     : spec_(spec),
       model_(propagation_model(spec, seed)),
       scenario_(make_scenario(spec.stations, spec.region_m, seed, spec.net,
-                              *model_)) {
+                              *model_, spec.criterion())) {
   const dynamics::DynamicsConfig& dyn = spec.dynamics;
   // Jammer stations are appended after the real network: they get gains and
   // despreading channels like everyone else, but no traffic, no routes, and

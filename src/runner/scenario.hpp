@@ -66,12 +66,14 @@ struct Scenario {
   routing::RoutingTables tables;
 };
 
-/// Uniform-disc placement, gains under `model`, the scheduled network and
-/// its min-energy routes; deterministic in `seed`.
+/// Uniform-disc placement, gains under `model`, the scheduled network
+/// (packet size and interference budget from `criterion`) and its
+/// min-energy routes; deterministic in `seed`.
 [[nodiscard]] Scenario make_scenario(
     std::size_t stations, double region_m, std::uint64_t seed,
     core::ScheduledNetworkConfig net_cfg,
-    const radio::PropagationModel& model = radio::FreeSpacePropagation{});
+    const radio::PropagationModel& model = radio::FreeSpacePropagation{},
+    const radio::ReceptionCriterion& criterion = scheme_criterion());
 
 /// Everything that defines one experiment point, MAC and workload included.
 struct ScenarioSpec {
@@ -198,6 +200,11 @@ class Trial {
 
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   [[nodiscard]] const Scenario& scenario() const { return scenario_; }
+  /// The auditor riding along when spec.audit is set, else null. After
+  /// run() it holds the verdict summarised in the result, and its report().
+  [[nodiscard]] const audit::InvariantAuditor* auditor() const {
+    return auditor_.get();
+  }
 
   /// Runs for duration + drain and summarises (audit and recovery fields
   /// included). Call once.

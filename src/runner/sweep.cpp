@@ -1,5 +1,6 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 
@@ -40,8 +41,6 @@ ScenarioSpec trial_scenario(const SweepSpec& spec, const SweepTrial& trial) {
   s.region_m = trial.point.region_m;
   s.mac = trial.point.mac;
   s.rate_pps = trial.point.rate_pps;
-  s.duration_s = spec.duration_s;
-  s.drain_s = spec.drain_s;
   return s;
 }
 
@@ -49,8 +48,10 @@ SweepResult run_sweep(
     const SweepSpec& spec, unsigned jobs,
     const std::function<void(std::size_t, std::size_t)>& progress) {
   SweepResult out;
-  out.jobs = jobs == 0 ? hardware_threads() : jobs;
   out.trials = expand(spec);
+  // The threads parallel_blocks starts: the caller alone for one trial.
+  out.jobs = static_cast<unsigned>(std::clamp<std::size_t>(
+      out.trials.size(), 1, jobs == 0 ? hardware_threads() : jobs));
   out.results.resize(out.trials.size());
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -135,8 +136,8 @@ void write_results_json(std::ostream& os, const SweepSpec& spec,
   w.key("engine").value(radio::engine_name(spec.base.engine));
   w.key("engine_cutoff_m").value(spec.base.engine_cutoff_m);
   w.key("engine_cell_m").value(spec.base.engine_cell_m);
-  w.key("duration_s").value(spec.duration_s);
-  w.key("drain_s").value(spec.drain_s);
+  w.key("duration_s").value(spec.base.duration_s);
+  w.key("drain_s").value(spec.base.drain_s);
   w.key("stations").begin_array();
   for (std::size_t m : spec.stations) w.value(m);
   w.end_array();

@@ -38,9 +38,8 @@ struct SweepSpec {
   /// placements/traffic — the classic paired variance-reduction technique
   /// and how the paper's Section 8 table is meant to be read.
   bool paired_seeds = false;
-  double duration_s = 2.0;
-  double drain_s = 60.0;
-  /// Base spec for fields not swept (net config, radio design point, ...).
+  /// Base spec for fields not swept (offer window, drain, net config, radio
+  /// design point, ...).
   ScenarioSpec base;
 
   [[nodiscard]] std::size_t trial_count() const {
@@ -100,6 +99,7 @@ struct SweepResult {
   std::vector<TrialResult> results;
   /// Measured execution facts — NOT written into the results document.
   double wall_s = 0.0;
+  /// Threads the trials ran on: min(job cap, trial count), at least 1.
   unsigned jobs = 1;
 
   [[nodiscard]] double trials_per_s() const {

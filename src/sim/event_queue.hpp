@@ -8,9 +8,9 @@
 //
 // Layout: the heap itself holds 24-byte items (time, a packed kind+sequence
 // key, a slot index); the 32-byte POD Event header lives in a slot array
-// recycled through a free list, and bulky payloads (the injected Packet)
-// live in the simulator's EventPool, named by handle. Sifts therefore move
-// small items and never copy packets.
+// recycled through a free list, and the injected Packet lives in the
+// simulator's append-only injection list, named by index. Sifts therefore
+// move small items and never copy packets.
 //
 // Cancellation is lazy: cancel(handle) tombstones the slot in O(1) and the
 // dead heap item is discarded when it surfaces — except that the heap top is
@@ -28,7 +28,6 @@
 
 #include "common/types.hpp"
 #include "sim/event_handle.hpp"
-#include "sim/event_pool.hpp"
 
 namespace drn::sim {
 
@@ -49,7 +48,7 @@ struct Event {
   union {
     std::uint64_t tx_id = 0;  // kTransmitStart / kTransmitEnd
     std::uint64_t cookie;     // kTimer
-    PacketHandle packet;      // kInject (payload in the owner's EventPool)
+    std::uint64_t injection;  // kInject: index into the owner's packet list
   };
   StationId station = kNoStation;  // kTimer
   /// Station MAC generation that armed this timer; a timer whose station has

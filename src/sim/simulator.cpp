@@ -76,7 +76,8 @@ void Simulator::inject(double time_s, Packet packet) {
   Event e;
   e.time_s = time_s;
   e.kind = EventKind::kInject;
-  e.packet = pool_.alloc(packet);  // heap entry carries only the handle
+  e.injection = injections_.size();  // heap entry carries only the index
+  injections_.push_back(packet);
   queue_.push(e);
 }
 
@@ -96,7 +97,7 @@ void Simulator::run_until(double t_end_s) {
         host_.deliver_timer(e->station, e->cookie, e->generation);
         break;
       case EventKind::kInject:
-        handle_inject(e->packet);
+        network_.admit(injections_[e->injection], now_s_);
         break;
       case EventKind::kTransmitStart:
         medium_.handle_transmit_start(e->tx_id);
@@ -212,13 +213,7 @@ Simulator::QueueStats Simulator::queue_stats() const {
   s.peak_entries = queue_.peak_entries();
   s.peak_bytes = queue_.peak_bytes();
   s.compactions = queue_.compactions();
-  s.pool_live = pool_.live();
-  s.pool_capacity = pool_.capacity();
   return s;
-}
-
-void Simulator::handle_inject(PacketHandle handle) {
-  network_.admit(pool_.take(handle), now_s_);
 }
 
 }  // namespace drn::sim

@@ -13,9 +13,10 @@
 //     router, end-to-end delivery accounting, and the injected-traffic
 //     packet-id namespace.
 //
-// The event core (event_queue/event_pool) is owned here and shared by
-// reference; the facade runs the event loop and dispatches each popped
-// event to its layer. Decode outcomes climb back up through the private
+// The event core (event_queue, plus the append-only list of injected packets
+// that kInject events name by index) is owned here and shared by reference;
+// the facade runs the event loop and dispatches each popped event to its
+// layer. Decode outcomes climb back up through the private
 // RadioMedium::Client implementation, which routes them to the receiving
 // MAC or the network layer at exactly the points the historical monolithic
 // Simulator invoked them — the split is draw-for-draw bit-identical, pinned
@@ -43,7 +44,6 @@
 #include "radio/interference_engine.hpp"
 #include "radio/propagation_matrix.hpp"
 #include "radio/reception.hpp"
-#include "sim/event_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/mac.hpp"
 #include "sim/medium.hpp"
@@ -117,9 +117,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
     std::size_t peak_bytes = 0;
     /// Tombstone-compaction passes the queue has run.
     std::uint64_t compactions = 0;
-    /// Pooled packet payloads currently allocated / pool capacity.
-    std::size_t pool_live = 0;
-    std::size_t pool_capacity = 0;
   };
   [[nodiscard]] QueueStats queue_stats() const;
 
@@ -180,8 +177,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   [[nodiscard]] Rng& rng() override { return host_.rng(); }
 
  private:
-  void handle_inject(PacketHandle handle);
-
   // -- RadioMedium::Client: decode outcomes climbing out of the medium -----
   [[nodiscard]] bool station_up(StationId station) const override {
     return host_.station_active(station);
@@ -197,7 +192,9 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   SimulatorConfig config_;  // finalized at construction (thermal derived)
   Metrics metrics_;
   EventQueue queue_;
-  EventPool pool_;  // payloads of pending kInject events
+  // Every injected packet, in inject() order; a kInject event names its
+  // packet by index. Append-only: the list lives as long as the simulator.
+  std::vector<Packet> injections_;
   double now_s_ = 0.0;
   std::uint64_t events_processed_ = 0;
 

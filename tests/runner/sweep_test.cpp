@@ -19,8 +19,8 @@ SweepSpec tiny_spec() {
   spec.rates_pps = {50.0};
   spec.seeds = 2;
   spec.master_seed = 11;
-  spec.duration_s = 0.3;
-  spec.drain_s = 5.0;
+  spec.base.duration_s = 0.3;
+  spec.base.drain_s = 5.0;
   spec.base.net.max_power_w = 1.0e-3;  // keep the tiny discs connected
   return spec;
 }
@@ -93,6 +93,18 @@ TEST(Sweep, ProgressReachesTotal) {
   EXPECT_EQ(max_done.load(), result.trials.size());
   EXPECT_EQ(result.jobs, 2u);
   EXPECT_GT(result.wall_s, 0.0);
+}
+
+TEST(Sweep, ReportsThreadsActuallyUsed) {
+  // jobs is a cap: a sweep never starts more threads than it has trials.
+  auto spec = tiny_spec();
+  spec.stations = {6};
+  spec.macs = {MacKind::kScheme};
+  spec.seeds = 1;
+  EXPECT_EQ(run_sweep(spec, 8).jobs, 1u);
+  spec.seeds = 3;
+  EXPECT_EQ(run_sweep(spec, 8).jobs, 3u);
+  EXPECT_EQ(run_sweep(spec, 2).jobs, 2u);
 }
 
 TEST(Sweep, SummariesGroupReplicates) {

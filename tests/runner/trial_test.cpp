@@ -37,6 +37,7 @@ TEST(Trial, ObserversLeaveTheResultUnchanged) {
   ScenarioSpec spec = small_spec();
   spec.mac = MacKind::kAloha;
   Trial trial(spec, 5);
+  EXPECT_EQ(trial.auditor(), nullptr);  // spec.audit is off
   audit::InvariantAuditor auditor(trial.simulator());
   trial.simulator().add_observer(&auditor);
   const TrialResult observed = trial.run();
@@ -73,6 +74,19 @@ TEST(Trial, NearFarMobilityMovesStationsAndStaysAuditClean) {
   EXPECT_GT(r.delivered, 0u);
   EXPECT_GT(r.audit_checks, 0u);
   EXPECT_EQ(r.audit_violations, 0u);
+  ASSERT_NE(trial.auditor(), nullptr);
+  EXPECT_EQ(trial.auditor()->checks_run(), r.audit_checks);
+  EXPECT_TRUE(trial.auditor()->ok()) << trial.auditor()->report();
+}
+
+TEST(Trial, RadioDesignPointReachesTheScheduledNetwork) {
+  // Packets are a quarter slot at the design rate C, so doubling C doubles
+  // the packet the scheduled network is built for.
+  ScenarioSpec spec = small_spec();
+  const double default_bits = Trial(spec, 2).scenario().net.packet_bits;
+  spec.data_rate_bps *= 2.0;
+  EXPECT_DOUBLE_EQ(Trial(spec, 2).scenario().net.packet_bits,
+                   2.0 * default_bits);
 }
 
 TEST(Trial, NearFarDefaultCutoffIsTwiceTheFreeSpaceReach) {

@@ -40,9 +40,6 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
 sanitizers="${DRN_CI_SANITIZERS:-thread address,undefined}"
 
-# Uninstrumented-libstdc++ false positives (see tools/tsan.supp).
-export TSAN_OPTIONS="suppressions=$(pwd)/tools/tsan.supp ${TSAN_OPTIONS:-}"
-
 echo "==== stage: lint ===="
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/drn_lint.py --mode regex

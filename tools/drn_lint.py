@@ -46,11 +46,9 @@ depends on, none of which clang-tidy checks:
                   LinearGain::to_db() (or radio::from_db/to_db at raw-double
                   boundaries) so conversion sites stay auditable.
   raw-event-copy  no by-value sim::Event outside src/sim/: the slim Event
-                  header and its payload-handle union are the event core's
+                  header and its payload union are the event core's
                   private wire format. Code elsewhere consumes the typed
-                  observer structs (TxEvent/RxEvent) or MacContext hooks;
-                  a stray Event copy smuggles a PacketHandle past the pool's
-                  generation discipline.
+                  observer structs (TxEvent/RxEvent) or MacContext hooks.
   layer-boundary  the simulator's layering (DESIGN.md section 13) is
                   one-directional: src/radio/ (the physical substrate) must
                   not include sim/; src/sim/ must not include runner/ or

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "analysis/table.hpp"
@@ -33,7 +32,6 @@ struct Options {
   std::string csv_trace;
   std::size_t trace_cap = 0;
   bool json = false;
-  bool audit = false;
 };
 
 void print_help() {
@@ -112,9 +110,6 @@ bool parse(cli::Flags& flags, Options& opt) {
                  "combine it with --csv-trace\n";
     return false;
   }
-  // drn_sim rides its own auditor along (for the report), not the runner's.
-  opt.audit = spec.audit;
-  spec.audit = false;
   return true;
 }
 
@@ -144,16 +139,9 @@ int run(const Options& opt) {
   sim::Simulator& sim = trial.simulator();
   sim::TraceRecorder trace(opt.trace_cap);
   if (!opt.csv_trace.empty()) sim.add_observer(&trace);
-  std::optional<audit::InvariantAuditor> auditor;
-  if (opt.audit) sim.add_observer(&auditor.emplace(sim));
-  runner::TrialResult r = trial.run();
-  if (auditor) {
-    auditor->finalize(spec.duration_s + spec.drain_s);
-    auditor->cross_check(sim.metrics());
-    r.audit_checks = auditor->checks_run();
-    r.audit_violations = auditor->violation_count();
-  }
-  const bool audit_failed = auditor && !auditor->ok();
+  const runner::TrialResult r = trial.run();
+  const audit::InvariantAuditor* auditor = trial.auditor();
+  const bool audit_failed = auditor != nullptr && !auditor->ok();
   const bool dynamics = spec.dynamics.enabled();
   const bool linked = connected(trial.scenario().tables);
   if (opt.json) {
@@ -170,7 +158,7 @@ int run(const Options& opt) {
     w.key("rate_pps").value(spec.rate_pps);
     w.key("duration_s").value(spec.duration_s);
     w.key("connected").value(linked);
-    runner::write_trial_fields(w, r, opt.audit, dynamics);
+    runner::write_trial_fields(w, r, spec.audit, dynamics);
     w.end_object();
     std::cout << '\n';
     if (audit_failed) std::cerr << auditor->report();

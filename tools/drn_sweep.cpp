@@ -150,8 +150,8 @@ bool parse(cli::Flags& flags, Options& opt) {
   flags.text("json", opt.json_path);
   if (!flags.integer("seeds", opt.spec.seeds) ||
       !flags.integer("seed", opt.spec.master_seed) ||
-      !flags.number("duration", opt.spec.duration_s) ||
-      !flags.number("drain", opt.spec.drain_s) ||
+      !flags.number("duration", opt.spec.base.duration_s) ||
+      !flags.number("drain", opt.spec.base.drain_s) ||
       !flags.integer("jobs", opt.jobs) ||
       !flags.flag("paired", opt.spec.paired_seeds) ||
       !flags.flag("progress", opt.progress) ||
