@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "common/id_sorted_set.hpp"
 #include "geo/grid_index.hpp"
 
 namespace drn::radio {
@@ -19,58 +20,6 @@ constexpr std::uint32_t kRecomputePeriod = 64;
 struct ActiveTx {
   StationId from = kNoStation;
   double power_w = 0.0;
-};
-
-/// Flat sorted-by-id set of active transmissions for the matrix engine. The
-/// hot loops walk the whole set once per opened reception, so locality beats
-/// asymptotics: iteration is one contiguous ascending-id scan — the exact
-/// order the previous std::map produced, so every plain and compensated sum
-/// accumulates in the same order and stays bit-identical — and the simulator
-/// assigns ids monotonically, so insert is an amortized push_back and erase
-/// a short memmove over the handful of concurrent transmissions.
-class ActiveSet {
- public:
-  struct Entry {
-    std::uint64_t id;
-    ActiveTx tx;
-  };
-
-  void insert(std::uint64_t id, ActiveTx tx) {
-    const auto it = lower_bound(id);
-    DRN_EXPECTS(it == entries_.end() || it->id != id);
-    entries_.insert(it, Entry{id, tx});
-  }
-
-  ActiveTx extract(std::uint64_t id) {
-    const auto it = lower_bound(id);
-    DRN_EXPECTS(it != entries_.end() && it->id == id);
-    const ActiveTx tx = it->tx;
-    entries_.erase(it);
-    return tx;
-  }
-
-  [[nodiscard]] bool contains(std::uint64_t id) const {
-    const auto it = lower_bound(id);
-    return it != entries_.end() && it->id == id;
-  }
-
-  [[nodiscard]] auto begin() const { return entries_.begin(); }
-  [[nodiscard]] auto end() const { return entries_.end(); }
-
- private:
-  [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(
-      std::uint64_t id) const {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), id,
-        [](const Entry& e, std::uint64_t v) { return e.id < v; });
-  }
-  [[nodiscard]] std::vector<Entry>::iterator lower_bound(std::uint64_t id) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), id,
-        [](const Entry& e, std::uint64_t v) { return e.id < v; });
-  }
-
-  std::vector<Entry> entries_;
 };
 
 /// Shared slot bookkeeping for the engines.
@@ -263,7 +212,7 @@ class CompensatedEngine final : public InterferenceEngine {
   }
 
   PropagationMatrix gains_;
-  ActiveSet active_;
+  IdSortedSet<ActiveTx> active_;
   SlotTable<Slot> slots_;
   geo::Placement placement_;                        // mobility only
   std::shared_ptr<const PropagationModel> model_;   // mobility only

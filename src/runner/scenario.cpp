@@ -273,9 +273,6 @@ TrialResult Trial::run() {
   // Duty is airtime over the offer window: the drain only empties queues,
   // so counting it would make mean_duty measure the drain's length.
   TrialResult result = summarize(sim_->metrics(), spec_.duration_s);
-  const auto qs = sim_->queue_stats();
-  result.events_processed = qs.events_processed;
-  result.peak_queue_bytes = qs.peak_bytes;
   if (dynamics_) {
     std::vector<double> samples = dynamics_->recovery_samples();
     std::sort(samples.begin(), samples.end());

@@ -164,11 +164,6 @@ struct TrialResult {
   std::uint64_t recoveries = 0;
   double mean_recovery_s = 0.0;
   double median_recovery_s = 0.0;
-  /// Event-core cost of the trial (Simulator::queue_stats). Perf telemetry
-  /// for the bench binaries; deliberately NOT serialized into drn-sweep-v3
-  /// documents, whose bytes must not depend on queue internals.
-  std::uint64_t events_processed = 0;
-  std::uint64_t peak_queue_bytes = 0;
 };
 
 /// Extracts a TrialResult from a finished simulator's metrics; mean_duty is

@@ -86,7 +86,7 @@ void RadioMedium::book(ActiveTx tx, double duration_s) {
   busy_until_s = tx.end_s;
 
   const std::uint64_t tx_id = next_tx_id_++;
-  ActiveTx& slot = scheduled_.insert(tx_id, tx);
+  ActiveTx& slot = scheduled_.insert(tx_id, std::move(tx));
 
   Event start;
   start.time_s = slot.start_s;
@@ -381,7 +381,7 @@ void RadioMedium::abort_active_from(StationId station, double now_s) {
   // Transmissions already on the air are cut short, in ascending-id order.
   std::vector<std::uint64_t> airborne;
   for (const auto& e : active_)
-    if (e.tx.from == station) airborne.push_back(e.id);
+    if (e.value.from == station) airborne.push_back(e.id);
   for (const std::uint64_t id : airborne) abort_transmission(id, now_s);
 }
 

@@ -25,13 +25,13 @@
 // bench tables are byte-identical across the split.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "common/expects.hpp"
+#include "common/id_sorted_set.hpp"
 #include "common/types.hpp"
 #include "geo/vec2.hpp"
 #include "radio/interference_engine.hpp"
@@ -208,55 +208,6 @@ class RadioMedium {
     EventHandle end_ev;
   };
 
-  /// Flat id-sorted set of transmission records — the same container
-  /// discipline the interference engines' ActiveSet uses. Iteration is one
-  /// contiguous ascending-id scan (the exact order the previous std::map
-  /// produced, so every downstream draw stays bit-identical); tx ids are
-  /// assigned monotonically, so insert is an amortized push_back and erase a
-  /// short memmove over the handful of concurrent transmissions.
-  class TxSet {
-   public:
-    struct Entry {
-      std::uint64_t id;
-      ActiveTx tx;
-    };
-
-    ActiveTx& insert(std::uint64_t id, const ActiveTx& tx) {
-      const auto it = lower_bound(id);
-      DRN_EXPECTS(it == entries_.end() || it->id != id);
-      return entries_.insert(it, Entry{id, tx})->tx;
-    }
-
-    ActiveTx extract(std::uint64_t id) {
-      const auto it = lower_bound(id);
-      DRN_EXPECTS(it != entries_.end() && it->id == id);
-      const ActiveTx tx = it->tx;
-      entries_.erase(it);
-      return tx;
-    }
-
-    /// Removes entries matching `pred(id, tx)`, visiting in ascending-id
-    /// order (side effects in the predicate observe the map-era order).
-    template <typename Pred>
-    void erase_if(Pred&& pred) {
-      std::erase_if(entries_,
-                    [&](Entry& e) { return pred(e.id, e.tx); });
-    }
-
-    [[nodiscard]] std::size_t size() const { return entries_.size(); }
-    [[nodiscard]] auto begin() const { return entries_.begin(); }
-    [[nodiscard]] auto end() const { return entries_.end(); }
-
-   private:
-    [[nodiscard]] std::vector<Entry>::iterator lower_bound(std::uint64_t id) {
-      return std::lower_bound(
-          entries_.begin(), entries_.end(), id,
-          [](const Entry& e, std::uint64_t v) { return e.id < v; });
-    }
-
-    std::vector<Entry> entries_;
-  };
-
   struct Reception {
     StationId rx = kNoStation;
     double signal_w = 0.0;
@@ -331,8 +282,8 @@ class RadioMedium {
 
   std::uint64_t next_tx_id_ = 1;
   // Pending (scheduled but not started) + in-flight transmissions.
-  TxSet scheduled_;
-  TxSet active_;
+  IdSortedSet<ActiveTx> scheduled_;
+  IdSortedSet<ActiveTx> active_;
   // In-flight receptions, keyed by tx_id (one per receiver for broadcasts).
   // Vectors are reserved before records are appended so the back-pointers
   // in by_handle_ stay valid for a record's whole lifetime.

@@ -209,8 +209,6 @@ void Simulator::notify_clock_rate(StationId station, double delta_ppm) {
 Simulator::QueueStats Simulator::queue_stats() const {
   QueueStats s;
   s.events_processed = events_processed_;
-  s.pending = queue_.size();
-  s.peak_entries = queue_.peak_entries();
   s.peak_bytes = queue_.peak_bytes();
   s.compactions = queue_.compactions();
   return s;

@@ -104,15 +104,11 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   [[nodiscard]] const StationHost& host() const { return host_; }
   [[nodiscard]] const NetworkLayer& network() const { return network_; }
 
-  /// Event-core counters (benches and regression tests; see DESIGN.md
+  /// Event-core counters (perfbench and regression tests; see DESIGN.md
   /// section 12). Cheap snapshot — callable mid-run.
   struct QueueStats {
     /// Events popped and handled since construction.
     std::uint64_t events_processed = 0;
-    /// Live entries waiting in the queue right now.
-    std::size_t pending = 0;
-    /// High-water mark of heap entries (live + tombstones).
-    std::size_t peak_entries = 0;
     /// High-water mark of queue memory (heap items + slot headers), bytes.
     std::size_t peak_bytes = 0;
     /// Tombstone-compaction passes the queue has run.

@@ -11,9 +11,9 @@
 #   3. format        clang-format --dry-run over src/bench/tools/tests
 #   4. build + test  default config
 #   5. negative-compile  replay of the tests/static/ probes by name
-#   6. bench smoke   interference-engine, dynamics and event-core ablations
-#                    in --smoke mode; the JSON they emit is schema-checked
-#                    when python3 is present
+#   6. bench smoke   interference-engine and dynamics ablations in --smoke
+#                    mode; the JSON they emit is schema-checked when python3
+#                    is present
 #   7. golden output bench_tab_sec8_network_sim byte-identical to its
 #                    committed output (the soak-only ctest of that name)
 #   8. perfbench     the benchmark's self-tests (perfbench/run.py
@@ -125,36 +125,6 @@ print(f"dynamics bench smoke OK: {len(points)} points, macs {sorted(macs)}")
 PY
 else
   echo "dynamics bench schema check SKIPPED: no python3 on this host"
-fi
-
-core_json="build-ci/BENCH_core.json"
-./build-ci/bench/bench_abl_event_core --smoke --out "${core_json}"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "${core_json}" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "drn-bench-core-v1", doc.get("schema")
-assert doc["smoke"] is True
-cells = doc["cells"]
-assert cells, "no benchmark cells recorded"
-# Full grid: every (stations, mac, churn) combination exactly once.
-seen = {(c["stations"], c["mac"], c["churn"]) for c in cells}
-assert len(seen) == len(cells), "duplicate cells"
-stations = {c["stations"] for c in cells}
-assert len(stations) >= 2, stations
-assert {c["mac"] for c in cells} == {"scheme", "aloha"}
-assert {c["churn"] for c in cells} == {False, True}
-for c in cells:
-    assert c["events_processed"] > 0, c
-    assert c["events_per_s"] > 0, c
-    assert c["peak_queue_bytes"] > 0, c
-    assert c["wall_s"] > 0, c
-    assert c["setup_s"] > 0, c
-    assert c["wall_s"] >= c["setup_s"], c
-print(f"event-core bench smoke OK: {len(cells)} cells, M in {sorted(stations)}")
-PY
-else
-  echo "event-core bench schema check SKIPPED: no python3 on this host"
 fi
 
 echo "==== stage: golden output ===="

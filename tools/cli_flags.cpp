@@ -95,6 +95,16 @@ bool check_spec(const runner::ScenarioSpec& spec) {
               << c.value << '\n';
     return false;
   }
+  // The Section 7.3 interference budget (target / required SNR) underflows
+  // to 0 when the required SNR overflows, and then no link can be scheduled.
+  const radio::LinearGain snr = spec.criterion().required_snr();
+  if (!((units::Watts{net.target_received_w} / snr).value() > 0.0)) {
+    std::cerr << "--data-rate/--bandwidth/--margin need a required SNR of "
+              << snr.value()
+              << ", which leaves --target-power no interference budget; "
+                 "raise --bandwidth or lower --data-rate/--margin\n";
+    return false;
+  }
   return true;
 }
 
