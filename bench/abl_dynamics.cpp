@@ -19,12 +19,13 @@
 //
 //   bench_abl_dynamics [--smoke] [--out PATH] [--jobs N]
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "runner/json.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
@@ -168,7 +169,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto parsed = drn::cli::parse_unsigned(
+          argv[++i], std::numeric_limits<unsigned>::max());
+      if (!parsed) {
+        std::cerr << "bad --jobs value: " << argv[i] << '\n';
+        return 2;
+      }
+      jobs = static_cast<unsigned>(*parsed);
     } else {
       std::cerr << "usage: bench_abl_dynamics [--smoke] [--out PATH] "
                    "[--jobs N]\n";

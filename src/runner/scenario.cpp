@@ -79,9 +79,11 @@ std::shared_ptr<const radio::PropagationModel> propagation_model(
 }
 
 /// The trial's simulator over `placement` (the scenario's stations plus any
-/// jammers appended after them).
+/// jammers appended after them). A dense engine takes scenario.gains over
+/// (moved in, or released once the jammer-extended matrix is built), so the
+/// trial holds one M x M matrix, not two; nearfar leaves it in place.
 std::unique_ptr<sim::Simulator> make_simulator(
-    const ScenarioSpec& spec, std::uint64_t seed, const Scenario& scenario,
+    const ScenarioSpec& spec, std::uint64_t seed, Scenario& scenario,
     const geo::Placement& placement,
     std::shared_ptr<const radio::PropagationModel> model) {
   sim::SimulatorConfig sim_cfg{spec.criterion()};
@@ -94,10 +96,14 @@ std::unique_ptr<sim::Simulator> make_simulator(
     return std::make_unique<sim::Simulator>(
         radio::make_nearfar_engine(placement, std::move(model), nf), sim_cfg);
   }
-  if (placement.size() > scenario.gains.size())
-    return std::make_unique<sim::Simulator>(
-        radio::make_dense_gains(scenario.gains, placement, *model), sim_cfg);
-  return std::make_unique<sim::Simulator>(scenario.gains, sim_cfg);
+  if (placement.size() > scenario.gains.size()) {
+    radio::PropagationMatrix extended =
+        radio::make_dense_gains(scenario.gains, placement, *model);
+    [[maybe_unused]] const radio::PropagationMatrix released =
+        std::move(scenario.gains);
+    return std::make_unique<sim::Simulator>(std::move(extended), sim_cfg);
+  }
+  return std::make_unique<sim::Simulator>(std::move(scenario.gains), sim_cfg);
 }
 
 /// Poisson uniform-pair traffic over the scenario's stations.
@@ -105,7 +111,7 @@ void inject_poisson(sim::Simulator& sim, const Scenario& scenario,
                     double packets_per_s, double duration_s, Rng rng) {
   for (const auto& inj : sim::poisson_traffic(
            packets_per_s, duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), rng))
+           sim::uniform_pairs(scenario.placement.size()), rng))
     sim.inject(inj.time_s, inj.packet);
 }
 
@@ -191,7 +197,7 @@ std::unique_ptr<sim::MacProtocol> make_baseline_mac(const ScenarioSpec& spec) {
 
 void install_macs(sim::Simulator& sim, Scenario& scenario,
                   const ScenarioSpec& spec) {
-  const auto stations = scenario.gains.size();
+  const auto stations = scenario.placement.size();
   if (spec.mac == MacKind::kScheme) {
     for (StationId s = 0; s < stations; ++s)
       sim.set_mac(s, std::move(scenario.net.macs[s]));

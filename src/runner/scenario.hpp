@@ -1,9 +1,10 @@
 // Declarative scenario assembly + single-trial execution: Trial(spec, seed)
-// is the one scenario pipeline behind drn_sim, drn_sweep, the bench binaries
-// and the end-to-end tests. Its building blocks (make_scenario, install_macs,
-// make_baseline_mac, summarize) stay public for the few callers that need
-// what a spec cannot express — rewritten MACs, SimulatorConfig knobs, timed
-// set-up phases — and wire a simulator by hand.
+// is the one scenario pipeline behind drn_sim (one trial or a sweep), the
+// bench binaries and the end-to-end tests. Its building blocks
+// (make_scenario, install_macs, make_baseline_mac, summarize) stay public
+// for the few callers that need what a spec cannot express — rewritten
+// MACs, SimulatorConfig knobs, timed set-up phases — and wire a simulator
+// by hand.
 //
 // A trial is a pure function of (ScenarioSpec, seed): it builds a fresh
 // placement, propagation matrix, network and simulator, runs Poisson traffic
@@ -194,6 +195,9 @@ class Trial {
   ~Trial();  // out of line: audit::InvariantAuditor is incomplete here
 
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
+  /// The assembled scenario. Under a dense engine its gains have moved into
+  /// the simulator: read them through simulator().engine().gain(), and the
+  /// station count through placement.size().
   [[nodiscard]] const Scenario& scenario() const { return scenario_; }
   /// The auditor riding along when spec.audit is set, else null. After
   /// run() it holds the verdict summarised in the result, and its report().

@@ -19,7 +19,7 @@ TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {
 
   // Fraction of ordered pairs the topology can route at all (random discs
   // leave some fringe stations disconnected at this reach).
-  const std::size_t n = scenario.gains.size();
+  const std::size_t n = scenario.placement.size();
   std::size_t routable = 0;
   for (StationId a = 0; a < n; ++a)
     for (StationId b = 0; b < n; ++b)

@@ -68,7 +68,7 @@ TEST(EventOrderGolden, AlohaHashPinned) {
 std::uint64_t churn_mobility_hash(std::uint64_t seed) {
   runner::ScenarioSpec spec = golden_spec(runner::MacKind::kScheme);
   // Maintenance beacons so churned stations can re-converge (the same knobs
-  // drn_sweep auto-enables under churn).
+  // drn_sim auto-enables under churn).
   spec.net.beacon_interval_s = 0.5;
   spec.net.neighbor_timeout_s = 12.0 * spec.net.beacon_interval_s;
   spec.net.readopt_neighbors = true;

@@ -65,8 +65,14 @@ bool check_spec(const runner::ScenarioSpec& spec) {
               << " (the dense-matrix guard); got " << spec.stations << '\n';
     return false;
   }
+  const dynamics::DynamicsConfig& dyn = spec.dynamics;
+  const bool nearfar = spec.engine == radio::InterferenceEngineKind::kNearFar;
   const core::ScheduledNetworkConfig& net = spec.net;
   const double p = net.receive_fraction;
+  // Grid cells over the disc's bounding box, per side, at the cell in force.
+  const double cell = spec.engine_cell_m > 0.0 ? spec.engine_cell_m
+                                               : spec.nearfar_cutoff_m() / 4.0;
+  const double grid_side = std::floor(2.0 * spec.region_m / cell) + 1.0;
   const struct {
     const char* flag;
     double value;
@@ -86,8 +92,21 @@ bool check_spec(const runner::ScenarioSpec& spec) {
       {"max-power", net.max_power_w, net.max_power_w > 0.0, "> 0"},
       {"slot", net.slot_s, net.slot_s > 0.0, "> 0"},
       {"receive-fraction", p, p > 0.0 && p < 1.0, "in (0, 1)"},
+      // Jammers extend the compensated engine's matrix; nearfar builds none.
+      {"jammers", static_cast<double>(dyn.jammer.count),
+       nearfar || spec.stations + dyn.jammer.count <= radio::kDenseMatrixGuardM,
+       "<= the dense-matrix guard minus --stations under --engine "
+       "compensated"},
       {"breakpoint", spec.breakpoint_m,
-       !spec.dual_slope || spec.breakpoint_m > 0.0, "> 0 under --dual-slope 1"},
+       !spec.dual_slope || spec.breakpoint_m >= 0.1,  // min_distance
+       ">= 0.1 (the near-field clamp) under --dual-slope 1"},
+      {"cutoff", spec.nearfar_cutoff_m(),
+       !nearfar || grid_side * grid_side < (1 << 24),  // GridIndex's cap
+       "wide enough (with --cell) that the near/far grid over --region has "
+       "< 2^24 cells"},
+      {"drift", dyn.drift_ppm_per_s,
+       !dyn.drift_enabled() || dyn.drift_ppm_per_s * dyn.drift_step_s < 1e6,
+       "< 1e6 / --drift-step, so a clock rate stays positive"},
   };
   for (const auto& c : checks) {
     if (c.ok) continue;
@@ -112,9 +131,22 @@ bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme) {
   const bool jammer_knobs = flags.has("jammer-period") ||
                             flags.has("jammer-duty") ||
                             flags.has("jammer-power");
+  auto& net = spec.net;
   auto& dyn = spec.dynamics;
   double beacon_s = 0.0;
-  if (!flags.parsed("engine", radio::parse_engine, spec.engine) ||
+  if (!flags.flag("dual-slope", spec.dual_slope) ||
+      !flags.number("breakpoint", spec.breakpoint_m) ||
+      !flags.number("shadowing", spec.shadowing_db) ||
+      !flags.number("bandwidth", spec.bandwidth_hz) ||
+      !flags.number("data-rate", spec.data_rate_bps) ||
+      !flags.number("margin", spec.margin_db) ||
+      !flags.number("target-power", net.target_received_w) ||
+      !flags.number("max-power", net.max_power_w) ||
+      !flags.number("receive-fraction", net.receive_fraction) ||
+      !flags.number("slot", net.slot_s) ||
+      !flags.number("duration", spec.duration_s) ||
+      !flags.number("drain", spec.drain_s) ||
+      !flags.parsed("engine", radio::parse_engine, spec.engine) ||
       !flags.number("cutoff", spec.engine_cutoff_m) ||
       !flags.number("cell", spec.engine_cell_m) ||
       !flags.number("churn", dyn.churn_rate_per_s) ||
@@ -178,38 +210,13 @@ bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme) {
   // ghosts, re-adopt returnees and re-fit drifting clocks.
   if (scheme &&
       (dyn.churn_enabled() || dyn.drift_enabled() || beacon_s > 0.0)) {
-    spec.net.beacon_interval_s = beacon_s > 0.0 ? beacon_s : 0.5;
+    net.beacon_interval_s = beacon_s > 0.0 ? beacon_s : 0.5;
     if (dyn.churn_enabled()) {
-      spec.net.neighbor_timeout_s = 12.0 * spec.net.beacon_interval_s;
-      spec.net.readopt_neighbors = true;
+      net.neighbor_timeout_s = 12.0 * net.beacon_interval_s;
+      net.readopt_neighbors = true;
     }
   }
   return true;
 }
-
-const char* const kScenarioFlagsHelp =
-    R"(interference engine
-  --engine NAME         compensated|nearfar         (default compensated)
-                        compensated = exact Neumaier accumulation; nearfar =
-                        grid-indexed exact near field + aggregated far-field
-                        din
-  --cutoff METERS       nearfar only: exact-summation radius (default 0 =
-                        2x the free-space reach of the power budget)
-  --cell METERS         nearfar only: grid cell side (default 0 = cutoff/4)
-
-network dynamics (all off by default; see DESIGN.md "Network dynamics")
-  --churn RATE          station crash rate, crashes/s  (default 0 = off)
-  --churn-downtime S    mean downtime before rejoin    (default 5)
-  --mobility MPS        random-waypoint speed          (default 0 = off)
-  --mobility-step S     position update interval       (default 0.5)
-  --drift PPMPS         clock slope half-width, ppm/s  (default 0 = off)
-  --drift-step S        rate-step interval             (default 1)
-  --jammers N           duty-cycled noise stations     (default 0)
-  --jammer-period S     jammer burst period            (default 0.5)
-  --jammer-duty F       fraction of period radiating   (default 0.2)
-  --jammer-power W      jammer burst power             (default 1e-3)
-  --beacon S            scheme maintenance-beacon interval; 0 = auto
-                        (0.5 s when churn or drift is on)
-)";
 
 }  // namespace drn::cli

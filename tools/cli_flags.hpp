@@ -1,7 +1,8 @@
-// Command-line handling shared by drn_sim and drn_sweep: the argv -> --key
-// value split, strict value parsing, unknown-option rejection and the
-// scenario flags both CLIs accept. A malformed command line is a message on
-// stderr and exit status 2, never an abort or a silently defaulted value.
+// Command-line handling for drn_sim (bench_abl_dynamics borrows the value
+// parsers): the argv -> --key value split, strict value parsing,
+// unknown-option rejection and the scenario flags every trial takes. A
+// malformed command line is a message on stderr and exit status 2, never an
+// abort or a silently defaulted value.
 //
 // Lives next to the CLIs rather than in src/: library code does not print
 // (drn_lint's iostream-lib rule).
@@ -82,21 +83,18 @@ class Flags {
 };
 
 /// A spec a trial can run without tripping a library contract: 2 ..
-/// radio::kDenseMatrixGuardM stations, a positive region, offer rate and
-/// window, a non-negative drain, and a radio design point and network config
-/// the builders accept. False (message naming the flag printed) otherwise.
+/// radio::kDenseMatrixGuardM stations (jammers too, under compensated), and
+/// every value in the range its builder accepts, down to the near/far grid
+/// cap and clock rates drift keeps positive. False (message naming the flag
+/// printed) otherwise.
 bool check_spec(const runner::ScenarioSpec& spec);
 
-/// The flags both CLIs share, applied to `spec` and validated: --engine,
-/// --cutoff, --cell (no wider than the cutoff in force), the dynamics flags
-/// (--churn ... --jammer-power), --beacon and --audit. Call it after the
-/// flags that set spec.net's powers, which the default cutoff derives from. `scheme` says whether a scheme MAC will run; under
-/// churn or drift (or an explicit --beacon) its maintenance beacons are
-/// configured.
+/// Every scalar scenario flag (propagation, radio design point, channel
+/// access, offer window, engine, dynamics, --beacon, --audit), applied to
+/// `spec` and validated; --cell no wider than the cutoff in force. `scheme`
+/// says whether a scheme MAC will run; under churn or drift (or an explicit
+/// --beacon) its maintenance beacons are configured.
 bool scenario_flags(Flags& flags, runner::ScenarioSpec& spec, bool scheme);
-
-/// --help text for the engine and dynamics flags scenario_flags() takes.
-extern const char* const kScenarioFlagsHelp;
 
 /// A CLI's main(): --help prints and exits 0; a command line `parse` rejects
 /// or leaves flags unconsumed exits 2; otherwise run(options), reporting an

@@ -1,10 +1,10 @@
-# Front-end agreement: drn_sim given a drn_sweep trial's seed must reproduce
-# that trial's outcome exactly, since both are front ends over runner::Trial.
-# Runs a one-trial sweep, reads trials[0].seed, reruns it through drn_sim and
-# compares the headline counters.
+# Front-end agreement: trial i of a drn_sim sweep is the one-trial run with
+# --seed trials[i].seed, since both run runner::Trial over the same spec.
+# Runs a two-seed sweep, reruns each of its trials on its own and compares
+# the headline counters.
 #
-#   cmake -DSWEEP=<drn_sweep> -DSIM=<drn_sim> -DMAC=scheme|aloha|...
-#         [-DSTATIONS=20 -DREGION=600] -P frontend_agreement.cmake
+#   cmake -DSIM=<drn_sim> -DMAC=scheme|aloha|... [-DSTATIONS=20 -DREGION=600]
+#         ["-DEXTRA=--flag;value;..."] -P frontend_agreement.cmake
 if(NOT DEFINED STATIONS)
   set(STATIONS 20)
 endif()
@@ -12,25 +12,27 @@ if(NOT DEFINED REGION)
   set(REGION 600)
 endif()
 set(spec --stations ${STATIONS} --region ${REGION} --rate 50 --duration 0.5
-         --drain 10 --mac ${MAC})
-execute_process(COMMAND "${SWEEP}" ${spec} --seeds 1 --progress 0 --json -
+         --drain 10 --mac ${MAC} ${EXTRA})
+execute_process(COMMAND "${SIM}" ${spec} --seeds 2 --progress 0
                 OUTPUT_VARIABLE sweep RESULT_VARIABLE rc ERROR_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "drn_sweep exited with ${rc}")
+  message(FATAL_ERROR "drn_sim sweep exited with ${rc}")
 endif()
-string(JSON seed GET "${sweep}" trials 0 seed)
-execute_process(COMMAND "${SIM}" ${spec} --seed ${seed} --json 1
-                OUTPUT_VARIABLE sim RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "drn_sim exited with ${rc}")
-endif()
-foreach(key offered delivered hop_attempts type1_losses type2_losses
-            type3_losses mac_drops mean_delay_s)
-  string(JSON from_sweep GET "${sweep}" trials 0 ${key})
-  string(JSON from_sim GET "${sim}" ${key})
-  if(NOT from_sweep STREQUAL from_sim)
-    message(FATAL_ERROR "seed ${seed} ${key}: drn_sweep ${from_sweep}, "
-                        "drn_sim ${from_sim}")
+foreach(i 0 1)
+  string(JSON seed GET "${sweep}" trials ${i} seed)
+  execute_process(COMMAND "${SIM}" ${spec} --seed ${seed} --json 1
+                  OUTPUT_VARIABLE sim RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "drn_sim --seed ${seed} exited with ${rc}")
   endif()
+  foreach(key offered delivered hop_attempts type1_losses type2_losses
+              type3_losses mac_drops mean_delay_s)
+    string(JSON from_sweep GET "${sweep}" trials ${i} ${key})
+    string(JSON from_sim GET "${sim}" ${key})
+    if(NOT from_sweep STREQUAL from_sim)
+      message(FATAL_ERROR "trial ${i} (seed ${seed}) ${key}: sweep "
+                          "${from_sweep}, one-trial run ${from_sim}")
+    endif()
+  endforeach()
 endforeach()
-message(STATUS "drn_sim reproduces drn_sweep trial (seed ${seed}, ${MAC})")
+message(STATUS "one-trial runs reproduce both sweep trials (${MAC})")
